@@ -22,6 +22,7 @@ from .symbolic import (
     canonicalize,
     classical_derivative,
     is_zero,
+    max_abs_coeff,
     monomial,
     shift_exponent,
 )
@@ -33,11 +34,6 @@ RESIDUAL_TOL = 1e-10
 def _require_origin(ctx: Context, what: str) -> None:
     if not ctx.at_origin():
         raise UnsupportedError(f"{what} requires all initial points at the origin")
-
-
-def _max_coeff(e: Expr) -> float:
-    e = canonicalize(e)
-    return max((abs(t.coeff) for t in e.terms), default=0.0)
 
 
 def kernel_basis_1d(nu: float, coord: int | str, ctx: Context) -> list[Expr]:
@@ -105,13 +101,13 @@ def is_closed(alpha: Form, mu: float, ctx: Context, tol: float = RESIDUAL_TOL) -
         for i in range(ctx.n):
             for j in range(i + 1, ctx.n):
                 res = rl_deriv(comps[j], i, mu, ctx) - rl_deriv(comps[i], j, mu, ctx)
-                if _max_coeff(res) > tol:
+                if max_abs_coeff(res) > tol:
                     witnesses.append((i, j, res))
     else:
         for i in range(ctx.n):
             for j in range(ctx.n):
                 res = rl_deriv(comps[i], j, mu, ctx)
-                if _max_coeff(res) > tol:
+                if max_abs_coeff(res) > tol:
                     witnesses.append((i, j, res))
     return ClosureReport(not witnesses, tuple(witnesses), mu, nu)
 
@@ -206,7 +202,7 @@ def solve_exact(alpha: Form, nu: float, ctx: Context) -> ExactnessResult:
             if i == j:
                 continue
             res = integrability_residual(alpha, i, j, ctx)
-            if _max_coeff(res) > RESIDUAL_TOL:
+            if max_abs_coeff(res) > RESIDUAL_TOL:
                 return ExactnessResult("not_integrable", residual=res, i=i, j=j)
 
     f = _reconstruct(comps, list(range(ctx.n)), nu, ctx)

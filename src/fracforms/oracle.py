@@ -10,6 +10,12 @@ first-order accurate in h, optionally sharpened by Richardson extrapolation
 assuming the leading error is O(h).  Functions with an integrable endpoint
 singularity (for example t^(-1/2) integrated from 0) are sampled starting at
 a + h: the endpoint node is dropped when the function is not finite there.
+
+A Richardson call samples f once, on its finest grid, and computes the GL
+weights once: the coarser grids are strided slices of those samples (their
+step is the fine step times a power of two, so the nodes are bit for bit the
+same) and their weights are a prefix of the fine weights.  The sums use the
+compensated kernel in :mod:`fracforms.kernels`.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NonConvergenceWarning, QuadratureDomainError
-from .kernels import gl_weighted_sum
+from .kernels import gl_weighted_sum, gl_weights
 from .symbolic import Context, Expr
 
 MIN_STEPS = 10
@@ -46,18 +52,31 @@ def _sample(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndar
         return out
 
 
-def _gl_with_steps(f, q: float, x: float, a: float, steps: int) -> float:
-    h = (x - a) / steps
-    nodes = x - h * np.arange(steps + 1, dtype=np.float64)
-    vals = _sample(f, nodes)
+def _gl_levels(f, q: float, x: float, a: float, steps: int, levels: int) -> list[float]:
+    """Plain GL sums with steps, 2*steps, ..., steps*2^(levels-1) intervals.
+
+    f is sampled once on the finest grid; level lvl takes every
+    2^(levels-1-lvl)-th sample, so every level ends on the node t = a and
+    drops it alike when f is singular there.
+    """
+    fine = steps << (levels - 1)
+    h = (x - a) / fine
+    # the node array is not kept: on fine grids it is a large share of the peak
+    vals = _sample(f, x - h * np.arange(fine + 1, dtype=np.float64))
     bad = ~np.isfinite(vals)
+    end = fine + 1
     if bad.any():
         # only the initial-point node may be singular; start at a + h then
         if bad[:-1].any():
-            where = nodes[np.nonzero(bad[:-1])[0][0]]
+            where = x - h * np.nonzero(bad[:-1])[0][0]
             raise QuadratureDomainError(f"integrand undefined at sample node t={where}")
-        vals = vals[:-1]
-    return gl_weighted_sum(vals, q) * h ** (-q)
+        end = fine
+    weights = gl_weights(q, end)
+    sums = []
+    for lvl in range(levels):
+        stride = 1 << (levels - 1 - lvl)
+        sums.append(gl_weighted_sum(vals[:end:stride], weights) * (h * stride) ** (-q))
+    return sums
 
 
 def gl_deriv(f: Callable, q: float, x: float, a: float = 0.0, h: float = 1e-4) -> float:
@@ -75,7 +94,7 @@ def gl_deriv(f: Callable, q: float, x: float, a: float = 0.0, h: float = 1e-4) -
         raise ValueError(
             f"step {h} leaves only {steps} nodes on [{a}, {x}]; need at least {MIN_STEPS}"
         )
-    return _gl_with_steps(f, float(q), float(x), float(a), steps)
+    return _gl_levels(f, float(q), float(x), float(a), steps, 1)[0]
 
 
 class RichardsonResult(NamedTuple):
@@ -90,10 +109,11 @@ def richardson(f: Callable, q: float, x: float, a: float = 0.0, h0: float = 1e-4
                levels: int = 3) -> RichardsonResult:
     """Richardson-extrapolated GL value assuming an O(h) leading error.
 
-    Runs the plain sum at h0, h0/2, ..., h0/2^(levels-1) and eliminates error
-    orders 1, 2, ... down the triangular table.  Warns (and reports
-    ``converged=False``) when the last two diagonal entries disagree by more
-    than 10x the error estimate.
+    Runs the plain sum at h0, h0/2, ..., h0/2^(levels-1), all from one
+    sampling of f on the finest grid, and eliminates error orders 1, 2, ...
+    down the triangular table.  Warns (and reports ``converged=False``) when
+    the last two diagonal entries disagree by more than 10x the error
+    estimate.
     """
     if not 2 <= levels <= 5:
         raise ValueError(f"levels must be between 2 and 5, got {levels}")
@@ -101,8 +121,8 @@ def richardson(f: Callable, q: float, x: float, a: float = 0.0, h0: float = 1e-4
         raise ValueError(f"evaluation point must sit above the initial point ({x} <= {a})")
     steps0 = max(MIN_STEPS, int(round((x - a) / h0)))
     rows: list[list[float]] = []
-    for lvl in range(levels):
-        row = [_gl_with_steps(f, float(q), float(x), float(a), steps0 * 2 ** lvl)]
+    for lvl, plain in enumerate(_gl_levels(f, float(q), float(x), float(a), steps0, levels)):
+        row = [plain]
         for j in range(1, lvl + 1):
             factor = 2.0 ** j
             row.append((factor * row[j - 1] - rows[lvl - 1][j - 1]) / (factor - 1.0))

@@ -170,6 +170,47 @@ def test_richardson_warns_when_table_disagrees():
     assert not r.converged
 
 
+def _table_from_gl_deriv(f, q, x, a, h0, levels):
+    """Richardson's table rebuilt from independent gl_deriv calls per level."""
+    steps0 = max(MIN_STEPS, round((x - a) / h0))
+    rows = []
+    for lvl in range(levels):
+        row = [gl_deriv(f, q, x, a, h=(x - a) / (steps0 * 2**lvl))]
+        for j in range(1, lvl + 1):
+            row.append((2.0**j * row[j - 1] - rows[lvl - 1][j - 1]) / (2.0**j - 1.0))
+        rows.append(row)
+    return rows[-1][-1]
+
+
+@pytest.mark.parametrize(
+    "f, q, x, a, h0, levels",
+    [
+        (lambda t: np.exp(t) * np.sin(3.0 * t), 0.7, 1.3, 0.0, 1e-3, 5),
+        (lambda t: np.asarray(t - 0.25) ** 1.5, -0.6, 1.15, 0.25, 0.07, 3),
+        # endpoint-singular: every level drops its node at the anchor
+        (lambda t: np.asarray(t) ** -0.5, 0.5, 2.0, 0.0, 1e-3, 4),
+        (lambda t: np.asarray(t) ** -0.5, -1.3, 0.7, 0.0, 0.01, 5),
+    ],
+)
+def test_richardson_matches_per_level_gl_deriv_bit_for_bit(f, q, x, a, h0, levels):
+    # one fine sampling, strided, must reproduce each level's own grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonConvergenceWarning)
+        got = richardson(f, q, x, a, h0=h0, levels=levels).value
+    assert got == _table_from_gl_deriv(f, q, x, a, h0, levels)
+
+
+def test_richardson_samples_the_integrand_once():
+    shapes = []
+
+    def f(t):
+        shapes.append(np.shape(t))
+        return np.cos(t)
+
+    richardson(f, 0.5, 1.0, 0.0, h0=1e-3, levels=5)
+    assert shapes == [(1000 * 2**4 + 1,)]
+
+
 # ---------------------------------------------------------------------------
 # coordinate-line helpers
 
