@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import UnsupportedError, VerificationError
 from .forms import DiffFactor, Form, WedgeWord, forms_close, frac_exterior_deriv
 from .rl import rl_deriv, rl_integ
@@ -160,15 +162,11 @@ def _reconstruct(comps: list[Expr], coords: list[int], nu: float, ctx: Context) 
     for j in coords[1:]:
         num = comps[j] - rl_deriv(f0, j, nu, ctx)
         shifted = canonicalize(shift_exponent(num, i0, -(nu - 1.0)))
+        free = np.abs(shifted.exponents[:, i0]) <= EXP_TOL
         # the shifted residue must be free of x_i0, else no separable c_0 exists
-        if any(abs(t.exponents[i0]) > EXP_TOL and abs(t.coeff) > RESIDUAL_TOL
-               for t in shifted.terms):
+        if (~free & (np.abs(shifted.coeffs) > RESIDUAL_TOL)).any():
             return None
-        cleaned = Expr(
-            tuple(t for t in shifted.terms if abs(t.exponents[i0]) <= EXP_TOL),
-            ctx.n,
-        )
-        beta[j] = cleaned
+        beta[j] = shifted.take(free)
     c0 = _reconstruct(beta, coords[1:], nu, ctx)
     if c0 is None:
         return None

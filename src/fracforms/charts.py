@@ -34,7 +34,7 @@ from .forms import DiffFactor, Form, WedgeWord
 from .oracle import richardson
 from .rl import power_rule_map
 from .specialfn import gamma_ratio, rgamma, whole_ceil
-from .symbolic import EXP_TOL, Context, Expr, eval_expr, fmt_number, monomial
+from .symbolic import EXP_TOL, Context, Expr, eval_expr, fmt_number, monomial, term_values
 
 Evaluable = Expr | Callable[[Sequence[float]], float]
 
@@ -238,16 +238,8 @@ def _integrand_numeric(chart: Chart, k: int, nu: float) -> Callable:
 def _raw(f: Evaluable, ctx: Context, point):
     """Like _call but keeps arrays and lets domain violations become nan."""
     if isinstance(f, Expr):
-        vals = np.zeros_like(np.asarray(point[0], dtype=np.float64))
-        a = ctx.initial_points
-        for t in f.terms:
-            term = np.full_like(vals, t.coeff)
-            for i, p in enumerate(t.exponents):
-                if p == 0.0:
-                    continue
-                term = term * (np.asarray(point[i], dtype=np.float64) - a[i]) ** p
-            vals = vals + term
-        return vals
+        return sum(term_values(f, ctx, point, strict=False),
+                   np.zeros_like(np.asarray(point[0], dtype=np.float64)))
     return f(point)
 
 
@@ -409,13 +401,13 @@ def polar_radial_closed_form(k: int, nu: float, r: float, theta: float) -> float
 def _compose_monomial(e: Expr, chart: Chart) -> Expr:
     """Substitute the forward maps into a power product (monomial maps only)."""
     out = Expr.zero(chart.n)
-    for t in e.terms:
-        acc = Expr.constant(t.coeff, chart.n)
-        for j, p in enumerate(t.exponents):
+    for c, exps in zip(e.coeffs.tolist(), e.exponents.tolist()):
+        acc = Expr.constant(c, chart.n)
+        for j, p in enumerate(exps):
             if abs(p) <= EXP_TOL:
                 continue
             fj = chart.forward[j]
-            if not isinstance(fj, Expr) or len(fj.terms) != 1:
+            if not isinstance(fj, Expr) or len(fj.coeffs) != 1:
                 raise UnsupportedError(
                     "symbolic transform needs single-term forward maps; "
                     "use a numeric matrix at a point instead")

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import ParseError
 from .rl import rl_deriv
 from .symbolic import (
@@ -125,7 +127,7 @@ class Form:
                     f"word order sum {word.order_sum} != form total order {total_order}"
                 )
             coeff = canonicalize(coeff)
-            if coeff.terms:
+            if len(coeff.coeffs):
                 cleaned[word] = coeff
         self.grade = grade
         self.total_order = float(total_order)
@@ -207,7 +209,7 @@ def forms_close(a: Form, b: Form, tol: float = 1e-12) -> bool:
         cb = b.terms.get(w)
         if ca is None or cb is None:
             other = cb if ca is None else ca
-            if any(abs(t.coeff) > tol for t in other.terms):
+            if (np.abs(other.coeffs) > tol).any():
                 return False
             continue
         if not exprs_close(ca, cb, tol):
@@ -300,11 +302,11 @@ def _looks_like_diff(p: _Parser) -> bool:
 def parse_form(text: str, ctx: Context) -> Form:
     """Parse a form literal; a bare expression is a grade-0 form."""
     p = _Parser(text, ctx)
-    pieces: list[tuple[PowerTerm, list[DiffFactor]]] = []
+    pieces: list[tuple[tuple[float, list[float]], list[DiffFactor]]] = []
     sign = 1.0
     while True:
         if _looks_like_diff(p):
-            coeff_term = PowerTerm(sign, (0.0,) * ctx.n)
+            coeff_term = (sign, [0.0] * ctx.n)
         else:
             coeff_term = p.parse_term(sign)
         factors = _parse_wedge(p) if _looks_like_diff(p) else []
@@ -330,7 +332,8 @@ def parse_form(text: str, ctx: Context) -> Form:
             total_order = word.order_sum
         elif abs(word.order_sum - total_order) > EXP_TOL * max(1, grade):
             raise ParseError("every term of a form must carry the same total order")
-        coeff = Expr((PowerTerm(coeff_term.coeff * wsign, coeff_term.exponents),), ctx.n)
+        c, exps = coeff_term
+        coeff = Expr((PowerTerm(c * wsign, exps),), ctx.n)
         accum[word] = accum[word] + coeff if word in accum else canonicalize(coeff)
     if total_order is None:
         total_order = 0.0
@@ -357,12 +360,12 @@ def print_form(form: Form, ctx: Context, digits: int | None = None) -> str:
 
     for word, coeff in form.terms.items():
         wtxt = _word_text(word, ctx, digits)
-        for t in coeff.terms:
-            body = _term_text(t, ctx, digits)
+        for c, exps in zip(coeff.coeffs.tolist(), coeff.exponents.tolist()):
+            body = _term_text(c, exps, ctx, digits)
             piece = wtxt if body == "1" else f"{body} {wtxt}"
             if chunks:
-                chunks.append((" - " if t.coeff < 0 else " + ") + piece)
-            elif t.coeff >= 0:
+                chunks.append((" - " if c < 0 else " + ") + piece)
+            elif c >= 0:
                 chunks.append(piece)
             elif body == "1":
                 chunks.append(f"-1 {wtxt}")

@@ -168,20 +168,24 @@ def expr_evaluable(e: Expr, ctx: Context) -> Callable:
 
     Unlike :func:`fracforms.symbolic.eval_expr`, domain violations surface as
     non-finite samples for the quadrature layer to police, which is what the
-    endpoint-singularity policy needs.
+    endpoint-singularity policy needs.  It deliberately does not reuse the
+    symbolic evaluator (:func:`fracforms.symbolic.term_values`): the oracle
+    shares no code with the symbolic path it checks, so it reads only the
+    expression's coefficient and exponent arrays.
     """
     a = np.asarray(ctx.initial_points, dtype=np.float64)
+    terms = list(zip(e.coeffs.tolist(), e.exponents.tolist()))
 
     def f(pt):
+        bases = [np.asarray(pt[i], dtype=np.float64) - a[i] for i in range(len(a))]
         total = 0.0
-        for t in e.terms:
-            v = np.float64(t.coeff)
-            for i, p in enumerate(t.exponents):
-                if p == 0.0:
-                    continue
-                with np.errstate(all="ignore"):
-                    v = v * np.power(np.asarray(pt[i], dtype=np.float64) - a[i], p)
-            total = total + v
+        with np.errstate(all="ignore"):
+            for c, exps in terms:
+                v = np.float64(c)
+                for base, p in zip(bases, exps):
+                    if p != 0.0:
+                        v = v * np.power(base, p)
+                total = total + v
         return total
 
     return f

@@ -16,8 +16,9 @@ order-2 results are bit-identical to :func:`fracforms.symbolic.classical_derivat
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ExponentDomainError
 from .specialfn import POLE_TOL, gamma_ratio, gen_binomial, rgamma, snap_int, whole_ceil
@@ -25,7 +26,6 @@ from .symbolic import (
     EXP_TOL,
     Context,
     Expr,
-    PowerTerm,
     canonicalize,
     classical_derivative,
     degree_in,
@@ -35,21 +35,6 @@ from .symbolic import (
     restrict_at_initial,
     shift_exponent,
 )
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """A real order q together with its ceiling whole order m."""
-
-    q: float
-
-    @property
-    def m(self) -> int:
-        return whole_ceil(self.q)
-
-    @property
-    def is_whole(self) -> bool:
-        return snap_int(self.q) is not None
 
 
 def _whole_order_factor(p: float, k: int) -> float:
@@ -77,26 +62,32 @@ def power_rule_map(e: Expr, coord: int, q: float, ctx: Context,
     like gamma(nu+1)/gamma(nu+1) cancel exactly.
     """
     coord = ctx.index(coord)
-    for t in e.terms:
-        if t.exponents[coord] <= -1.0 + POLE_TOL:
+    p = e.exponents[:, coord]
+    ps = p.tolist()
+    for v in ps:
+        if v <= -1.0 + POLE_TOL:
             raise ExponentDomainError(
-                f"exponent {t.exponents[coord]} on {ctx.names[coord]} is outside "
+                f"exponent {v} on {ctx.names[coord]} is outside "
                 f"the operator domain (needs p > -1)"
             )
     k = snap_int(q)
-    out = []
-    for t in e.terms:
-        p = t.exponents[coord]
-        if k is not None and not extra_denominators:
-            factor = _whole_order_factor(p, k)
-        else:
-            factor = gamma_ratio((p + 1.0,), (p - q + 1.0, *extra_denominators))
-        if factor == 0.0:
-            continue
-        exps = list(t.exponents)
-        exps[coord] = p - q
-        out.append(PowerTerm(t.coeff * factor, tuple(exps)))
-    return canonicalize(Expr(tuple(out), e.n))
+    if k is not None and not extra_denominators:
+        def factor(x):
+            return _whole_order_factor(x, k)
+    else:
+        def factor(x):
+            return gamma_ratio((x + 1.0,), (x - q + 1.0, *extra_denominators))
+    # one scalar evaluation per distinct exponent (0.0 and -0.0 give the same factor)
+    by_p = {v: factor(v) for v in set(ps)}
+    factors = np.array([by_p[v] for v in ps], dtype=np.float64)
+    coeffs, exps = e.coeffs, e.exponents
+    if 0.0 in by_p.values():  # reciprocal-gamma zeros annihilate those terms
+        live = factors != 0.0
+        coeffs, exps, p, factors = coeffs[live], exps[live], p[live], factors[live]
+    else:
+        exps = exps.copy()
+    exps[:, coord] = p - q
+    return canonicalize(Expr._draft(coeffs * factors, exps, e.n))
 
 
 def rl_deriv(e: Expr, coord: int | str, q: float, ctx: Context) -> Expr:

@@ -8,14 +8,17 @@ symbolic engine.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracforms
 from fracforms import (
     Context,
     DiffFactor,
@@ -219,7 +222,12 @@ def test_11_inverse_jacobian_residuals():
 
 
 def test_12_cli_verify_suite_exits_clean():
+    # the child process imports the same fracforms as this test, also when
+    # pytest found it through its own pythonpath setting
+    src = str(Path(fracforms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "fracforms", "verify"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "12/12 checks passed" in proc.stdout

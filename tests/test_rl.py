@@ -15,7 +15,6 @@ from fracforms import (
     BoundarySingularityError,
     Context,
     ExponentDomainError,
-    FracOrder,
     classical_derivative,
     compose_residual,
     eval_expr,
@@ -265,20 +264,6 @@ def test_product_series_non_polynomial_converges_with_bound():
     assert eval_expr(got.expr, X, probe) == pytest.approx(
         eval_expr(want, X, probe), rel=1e-4
     )
-
-
-# ---------------------------------------------------------------------------
-# whole-order bookkeeping
-
-
-@pytest.mark.parametrize(
-    "q, m, whole",
-    [(0.5, 1, False), (1.0, 1, True), (1.5, 2, False), (2.0, 2, True), (2.7, 3, False)],
-)
-def test_frac_order(q, m, whole):
-    fo = FracOrder(q)
-    assert fo.m == m
-    assert fo.is_whole is whole
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracforms import (
@@ -21,6 +22,10 @@ from fracforms import (
     parse_expr,
     print_expr,
 )
+from fracforms import symbolic
+from fracforms.rl import _whole_order_factor, power_rule_map
+from fracforms.specialfn import gamma_ratio, snap_int
+from fracforms.symbolic import COEFF_DROP, EXP_TOL
 
 X = Context.of(("x",))
 XY = Context.of(("x", "y"))
@@ -65,6 +70,160 @@ def test_canonicalize_orders_terms_deterministically():
 def test_canonicalize_idempotent():
     e = canonicalize(Expr((PowerTerm(1.0, (0.5,)), PowerTerm(2.0, (0.5 + 1e-10,))), 1))
     assert canonicalize(e) == e
+
+
+# ---------------------------------------------------------------------------
+# the array core against term-by-term references
+#
+# The references below are the dict-bucket canonicalize and the double loops
+# that held expressions as PowerTerm tuples; the array core must reproduce
+# them bit for bit (compared as float.hex, so -0.0 and 0.0 differ).
+
+
+def _ref_canonicalize(terms, n):
+    buckets = {}
+    for t in terms:
+        exps = tuple(0.0 if abs(p) <= EXP_TOL else p for p in t.exponents)
+        key = tuple(round(p, 9) for p in exps)
+        if key in buckets:
+            slot = buckets[key]
+            slot[0] = tuple(
+                p if abs(p - k) <= abs(old - k) else old
+                for old, p, k in zip(slot[0], exps, key)
+            )
+            slot[1] += t.coeff
+        else:
+            buckets[key] = [exps, t.coeff]
+    return [(c, exps) for _, (exps, c) in sorted(buckets.items()) if abs(c) >= COEFF_DROP]
+
+
+def _ref_power_rule(terms, n, coord, q, extra=()):
+    k = snap_int(q)
+    out = []
+    for t in terms:
+        p = t.exponents[coord]
+        if k is not None and not extra:
+            factor = _whole_order_factor(p, k)
+        else:
+            factor = gamma_ratio((p + 1.0,), (p - q + 1.0, *extra))
+        if factor == 0.0:
+            continue
+        exps = list(t.exponents)
+        exps[coord] = p - q
+        out.append(PowerTerm(t.coeff * factor, tuple(exps)))
+    return _ref_canonicalize(out, n)
+
+
+def _ref_product(a_terms, b_terms, n):
+    prods = [PowerTerm(s.coeff * t.coeff, tuple(x + y for x, y in zip(s.exponents, t.exponents)))
+             for s in a_terms for t in b_terms]
+    return _ref_canonicalize(prods, n)
+
+
+def _bits(pairs):
+    return [(float(c).hex(), tuple(float(p).hex() for p in exps)) for c, exps in pairs]
+
+
+def _arr_bits(coeffs, exponents):
+    return _bits(zip(coeffs.tolist(), exponents.tolist()))
+
+
+# exponents within 1e-9 of each other and of 0, with exact ties (+-2^-32)
+# for the closest-exponent rule, and -0.0
+near_exps = st.builds(
+    lambda base, off: base + off,
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -0.5, 0.25, 1.5, 2.0]),
+    st.sampled_from([0.0, -0.0, 4e-10, -6e-10, 1e-9, -1e-9, 1.2e-9, 2.0 ** -32, -(2.0 ** -32),
+                     2.0 ** -31, 5e-10, -5e-10, 3e-12]),
+)
+near_coeffs = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5, -0.5, 1e-13, -1e-13, 1e-12, -0.0, 0.0, 3.0, 0.1, -0.1]),
+    st.floats(min_value=-5.0, max_value=5.0),
+)
+
+
+@st.composite
+def term_lists(draw, n=2, max_size=40):
+    k = draw(st.integers(min_value=0, max_value=max_size))
+    terms = [PowerTerm(draw(near_coeffs), tuple(draw(near_exps) for _ in range(n)))
+             for _ in range(k)]
+    # exact cancellations: repeat some terms with the opposite sign
+    for t in draw(st.lists(st.sampled_from(terms), max_size=4)) if terms else []:
+        terms.append(PowerTerm(-t.coeff, t.exponents))
+    return draw(st.permutations(terms))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(2.0 ** -10)  # 0.0009765625: an exact decimal tie at the ninth digit
+@example(0.1234567895)
+@example(-2.5e-9)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_vectorized_key_rounding_matches_python_round(p):
+    got = symbolic._round9(np.array([p, -p]))
+    assert [v.hex() for v in got.tolist()] == [round(p, 9).hex(), round(-p, 9).hex()]
+
+
+@given(term_lists())
+@example([PowerTerm(1.0, (0.5 + 2.0 ** -32, 1.0)),   # a tie for the closest exponent:
+          PowerTerm(2.0, (0.5 - 2.0 ** -32, 1.0)),   # the later one is kept
+          PowerTerm(4.0, (0.5 + 4e-10, -0.0))])
+@example([PowerTerm(c, (1.0, 0.5)) for c in (1e-3, 1.0, -1.0, 1e-3)])  # order of the sum
+@settings(max_examples=200, deadline=None)
+def test_canonicalize_bit_identical_to_dict_reference(terms):
+    got = canonicalize(Expr(tuple(terms), 2))
+    assert _arr_bits(got.coeffs, got.exponents) == _bits(_ref_canonicalize(terms, 2))
+    # both merges, whatever the size, against the same reference
+    e = Expr(tuple(terms), 2)
+    for merge in (symbolic._merge_loop, symbolic._merge_arrays):
+        if terms:
+            assert _arr_bits(*merge(e.coeffs, e.exponents)) == _bits(_ref_canonicalize(terms, 2))
+
+
+@given(term_lists(n=3, max_size=12), term_lists(n=3, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_product_bit_identical_to_double_loop(a_terms, b_terms):
+    a = canonicalize(Expr(tuple(a_terms), 3))
+    b = canonicalize(Expr(tuple(b_terms), 3))
+    got = a * b
+    assert _arr_bits(got.coeffs, got.exponents) == _bits(_ref_product(a.terms, b.terms, 3))
+
+
+@given(term_lists(max_size=30), st.sampled_from([0.5, 1.0, 2.0, -1.0, 0.3, -0.5, 1.0 + 4e-10]),
+       st.sampled_from([(), (1.5,), (2.0, 0.7)]), st.integers(min_value=0, max_value=1))
+@settings(max_examples=150, deadline=None)
+def test_power_rule_map_bit_identical_to_term_loop(terms, q, extra, coord):
+    # keep the operator's domain p > -1 on the differentiated coordinate
+    terms = [t for t in terms if t.exponents[coord] > -0.9]
+    e = canonicalize(Expr(tuple(terms), 2))
+    got = power_rule_map(e, coord, q, XY, extra_denominators=extra)
+    assert _arr_bits(got.coeffs, got.exponents) == _bits(_ref_power_rule(e.terms, 2, coord, q, extra))
+
+
+@given(term_lists())
+@settings(max_examples=50, deadline=None)
+def test_canonicalize_returns_a_canonical_expression_unchanged(terms):
+    e = canonicalize(Expr(tuple(terms), 2))
+    assert canonicalize(e) is e
+    assert canonicalize(canonicalize(Expr(tuple(terms), 2))) == e
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_canonicalize_overflowing_merge_raises_like_power_term():
+    e = Expr((PowerTerm(1e308, (1.0,)), PowerTerm(1e308, (1.0,))), 1)
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        canonicalize(e)
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        monomial(X, 1e200, {0: 1.0}) * monomial(X, 1e200, {0: 1.0})
+
+
+def test_terms_view_matches_arrays():
+    e = parse_expr("2*x^0.5*y - 3*y^2 + 1", XY)
+    assert e.coeffs.shape == (3,) and e.exponents.shape == (3, 2)
+    assert not e.coeffs.flags.writeable and not e.exponents.flags.writeable
+    assert e.terms == tuple(PowerTerm(c, tuple(p)) for c, p in
+                            zip(e.coeffs.tolist(), e.exponents.tolist()))
+    assert hash(e) == hash((e.terms, e.n))
 
 
 # ---------------------------------------------------------------------------
