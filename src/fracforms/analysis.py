@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnsupportedError, VerificationError
-from .forms import DiffFactor, Form, WedgeWord, forms_close, frac_exterior_deriv
+from .forms import Form, forms_close, frac_exterior_deriv
 from .rl import rl_deriv, rl_integ
 from .specialfn import whole_ceil
 from .symbolic import (
@@ -23,7 +23,6 @@ from .symbolic import (
     Expr,
     canonicalize,
     classical_derivative,
-    is_zero,
     max_abs_coeff,
     monomial,
     shift_exponent,

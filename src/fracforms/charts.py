@@ -22,19 +22,27 @@ other; ``inverse_residual`` reports that defect instead of asserting it away.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NegativeQuadraticFormError, QuadratureDomainError, UnsupportedError
 from .forms import DiffFactor, Form, WedgeWord
-from .oracle import richardson
+from .oracle import freeze_all_but, richardson_partial
 from .rl import power_rule_map
 from .specialfn import gamma_ratio, rgamma, whole_ceil
-from .symbolic import EXP_TOL, Context, Expr, eval_expr, fmt_number, monomial, term_values
+from .symbolic import (
+    EXP_TOL,
+    Context,
+    Expr,
+    eval_expr,
+    fmt_number,
+    monomial,
+    print_expr,
+    term_values,
+)
 
 Evaluable = Expr | Callable[[Sequence[float]], float]
 
@@ -246,13 +254,9 @@ def _raw(f: Evaluable, ctx: Context, point):
 # --- the transformation matrix ------------------------------------------------
 
 @dataclass(frozen=True)
-class JacobianMatrix:
-    """n x n fractional transformation matrix.
-
-    ``entries[k][i]`` multiplies dy_i^nu in the expansion of dx_k^nu; at
-    nu=1 row k is the classical gradient of x_k.  Symbolic entries are Exprs
-    over the chart's y context, numeric entries are floats at ``point``.
-    """
+class ChartMatrix:
+    """n x n matrix of a chart at order nu: Exprs over the chart's y context
+    (``mode`` "symbolic") or floats at ``point`` (``mode`` "numeric")."""
 
     entries: tuple
     nu: float
@@ -270,34 +274,38 @@ class JacobianMatrix:
             raise ValueError("symbolic matrix; call evaluate(point) first")
         return np.asarray(self.entries, dtype=np.float64)
 
-    def evaluate(self, point: Sequence[float]) -> "JacobianMatrix":
+    def evaluate(self, point: Sequence[float]):
+        """The same matrix with its entries evaluated at a y-point."""
         if self.mode == "numeric":
             return self
         rows = tuple(
             tuple(eval_expr(e, self.chart.ctx_y, point) for e in row)
             for row in self.entries)
-        return JacobianMatrix(rows, self.nu, self.m, self.chart, "numeric",
-                              tuple(float(v) for v in point))
+        return replace(self, entries=rows, mode="numeric",
+                       point=tuple(float(v) for v in point))
 
     def to_json(self) -> dict:
-        return _matrix_json(self)
+        if self.mode == "numeric":
+            rows = [[float(v) for v in row] for row in self.entries]
+        else:
+            rows = [[print_expr(e, self.chart.ctx_y) for e in row] for row in self.entries]
+        return {
+            "nu": self.nu,
+            "m": self.m,
+            "chart": self.chart.name,
+            "point": list(self.point) if self.point is not None else None,
+            "mode": self.mode,
+            "entries": rows,
+        }
 
 
-def _matrix_json(mat) -> dict:
-    if mat.mode == "numeric":
-        rows = [[float(v) for v in row] for row in mat.entries]
-    else:
-        ctx = mat.chart.ctx_y
-        from .symbolic import print_expr
-        rows = [[print_expr(e, ctx) for e in row] for row in mat.entries]
-    return {
-        "nu": mat.nu,
-        "m": mat.m,
-        "chart": mat.chart.name,
-        "point": list(mat.point) if mat.point is not None else None,
-        "mode": mat.mode,
-        "entries": rows,
-    }
+class JacobianMatrix(ChartMatrix):
+    """n x n fractional transformation matrix.
+
+    ``entries[k][i]`` multiplies dy_i^nu in the expansion of dx_k^nu; at
+    nu=1 row k is the classical gradient of x_k.  Symbolic entries are Exprs
+    over the chart's y context, numeric entries are floats at ``point``.
+    """
 
 
 def format_matrix(rows, digits: int = 10) -> str:
@@ -338,18 +346,14 @@ def _numeric_entries(chart: Chart, nu: float, m: int, point,
         g = _integrand_numeric(chart, k, nu)
         row = []
         for i in range(chart.n):
-            def gline(t, _i=i, _g=g):
-                y = [np.float64(v) for v in point]
-                y[_i] = t
-                return _g(y)
             if whole:
-                val = _central_derivative(gline, float(point[i]), int(round(nu)))
+                val = _central_derivative(freeze_all_but(g, i, point), float(point[i]),
+                                          int(round(nu)))
             else:
                 if not float(point[i]) > atil[i]:
                     raise QuadratureDomainError(
                         f"numeric entries need point[{i}] > {atil[i]}, got {point[i]}")
-                val = richardson(gline, nu, float(point[i]), a=atil[i],
-                                 h0=h0, levels=levels).value
+                val = richardson_partial(g, i, nu, point, a=atil[i], h0=h0, levels=levels).value
             row.append(val * scale)
         rows.append(tuple(row))
     return tuple(rows)
@@ -475,37 +479,8 @@ def _matrix_at(chart: Chart, nu: float, point, h0: float, levels: int) -> np.nda
     return jacobian(chart, nu, point, h0, levels).as_array()
 
 
-@dataclass(frozen=True)
-class MetricMatrix:
+class MetricMatrix(ChartMatrix):
     """Gram contraction g_ij = sum_k J_i^k J_j^k; symmetric by construction."""
-
-    entries: tuple
-    nu: float
-    m: int
-    chart: Chart
-    mode: str
-    point: tuple | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def as_array(self) -> np.ndarray:
-        if self.mode != "numeric":
-            raise ValueError("symbolic matrix; call evaluate(point) first")
-        return np.asarray(self.entries, dtype=np.float64)
-
-    def evaluate(self, point: Sequence[float]) -> "MetricMatrix":
-        if self.mode == "numeric":
-            return self
-        rows = tuple(
-            tuple(eval_expr(e, self.chart.ctx_y, point) for e in row)
-            for row in self.entries)
-        return MetricMatrix(rows, self.nu, self.m, self.chart, "numeric",
-                            tuple(float(v) for v in point))
-
-    def to_json(self) -> dict:
-        return _matrix_json(self)
 
 
 def metric(chart: Chart, nu: float, point: Sequence[float] | None = None,

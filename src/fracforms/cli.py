@@ -50,7 +50,7 @@ from .symbolic import (
     fmt_number,
     parse_expr,
     print_expr,
-    tokenize,
+    scan_terms,
 )
 
 DIGITS = 10
@@ -87,15 +87,13 @@ def _split_floats(text: str) -> tuple[float, ...]:
 def infer_coords(text: str) -> tuple[str, ...]:
     """Coordinate names appearing in an input literal, sorted; the wedge
     marker d(...) is not a coordinate."""
-    toks = tokenize(text)
     names = set()
-    for idx, (kind, val, _) in enumerate(toks):
-        if kind != "ident":
-            continue
-        nxt = toks[idx + 1] if idx + 1 < len(toks) else ("end", "", 0)
-        if val == "d" and nxt[0] == "op" and nxt[1] == "(":
-            continue
-        names.add(val)
+
+    def column(name: str) -> int:
+        names.add(name)
+        return 0
+
+    scan_terms(text, column, 1, lambda coord, order: None)
     return tuple(sorted(names))
 
 

@@ -10,15 +10,9 @@ reading under which an order-0 exterior derivative of a scalar stays a
 scalar).  Every word in one form must carry the same number of factors and
 the same total order; the factor orders themselves may differ word to word.
 
-Text syntax (whitespace insignificant)::
-
-    form  := fterm (("+"|"-") fterm)*
-    fterm := [coefficient-term] wedge?
-    wedge := "d(" coord "," signed_number ")" ("&" "d(" coord "," signed_number ")")*
-
-where ``coefficient-term`` is a single product term of the expression
-grammar; a sum-valued coefficient is written by repeating the wedge word.
-A literal with no wedge part is a grade-0 form.
+The text syntax of form literals is in :mod:`fracforms.symbolic`, whose
+scanner reads them; a sum-valued coefficient is written by repeating the
+wedge word.
 """
 
 from __future__ import annotations
@@ -34,13 +28,14 @@ from .symbolic import (
     EXP_TOL,
     Context,
     Expr,
-    PowerTerm,
-    _Parser,
     canonicalize,
     exprs_close,
     fmt_number,
     is_zero,
+    parse_expr,
     print_expr,
+    scan_terms,
+    term_text,
 )
 
 
@@ -264,117 +259,43 @@ def frac_exterior_deriv(a: Form | Expr, nu: float, ctx: Context) -> Form:
 
 # --- text and JSON front ends ----------------------------------------------
 
-def _parse_wedge(p: _Parser) -> list[DiffFactor]:
-    factors = []
-    while True:
-        kind, val, pos = p.peek()
-        if kind == "ident" and val == "d":
-            save = p.i
-            p.next()
-            if not p.at_op("("):
-                p.i = save
-                break
-            p.next()
-            kind, cname, cpos = p.next()
-            if kind != "ident":
-                raise ParseError(f"expected a coordinate inside d(...), found {cname!r}", cpos)
-            idx = p.ctx.index(cname)
-            p.expect_op(",")
-            order = p.parse_signed_number()
-            p.expect_op(")")
-            factors.append(DiffFactor(idx, order))
-            if p.at_op("&"):
-                p.next()
-                continue
-            break
-        break
-    return factors
-
-
-def _looks_like_diff(p: _Parser) -> bool:
-    kind, val, _ = p.peek()
-    if kind != "ident" or val != "d":
-        return False
-    nxt = p.tokens[p.i + 1]
-    return nxt[0] == "op" and nxt[1] == "("
-
-
 def parse_form(text: str, ctx: Context) -> Form:
-    """Parse a form literal; a bare expression is a grade-0 form."""
-    p = _Parser(text, ctx)
-    pieces: list[tuple[tuple[float, list[float]], list[DiffFactor]]] = []
-    sign = 1.0
-    while True:
-        if _looks_like_diff(p):
-            coeff_term = (sign, [0.0] * ctx.n)
-        else:
-            coeff_term = p.parse_term(sign)
-        factors = _parse_wedge(p) if _looks_like_diff(p) else []
-        pieces.append((coeff_term, factors))
-        if p.at_op("+") or p.at_op("-"):
-            _, val, _ = p.next()
-            sign = -1.0 if val == "-" else 1.0
-            continue
-        break
-    p.expect_end()
+    """Parse a form literal; a bare expression is a grade-0 form.
 
-    grades = {len(fs) for _, fs in pieces}
+    The terms of one wedge word are summed and canonicalized once, as
+    :func:`fracforms.symbolic.parse_expr` sums an expression.
+    """
+    coeffs, rows, factors = scan_terms(text, ctx.index, ctx.n, DiffFactor)
+    grades = {len(fs) for fs in factors}
     if len(grades) != 1:
         raise ParseError("every term of a form must carry the same number of differentials")
     grade = grades.pop()
-    accum: dict[WedgeWord, Expr] = {}
+    words: dict[WedgeWord, list] = {}
     total_order = None
-    for coeff_term, factors in pieces:
-        wsign, word = canonical_word(factors)
+    for c, row, fs in zip(coeffs, rows, factors):
+        sign, word = canonical_word(fs)
         if word is None:
             continue
         if total_order is None:
             total_order = word.order_sum
         elif abs(word.order_sum - total_order) > EXP_TOL * max(1, grade):
+            for pairs in words.values():  # an earlier term that is not finite outranks this
+                Expr.make(pairs, ctx.n)
             raise ParseError("every term of a form must carry the same total order")
-        c, exps = coeff_term
-        coeff = Expr((PowerTerm(c * wsign, exps),), ctx.n)
-        accum[word] = accum[word] + coeff if word in accum else canonicalize(coeff)
-    if total_order is None:
-        total_order = 0.0
-        if grade:
-            # every explicit word cancelled to zero
-            return Form(grade, 0.0, {})
-    return Form(grade, total_order, accum)
-
-
-def _word_text(word: WedgeWord, ctx: Context, digits: int | None) -> str:
-    return " & ".join(
-        f"d({ctx.names[f.coord]},{fmt_number(f.order, digits)})" for f in word.factors
-    )
+        words.setdefault(word, []).append((c * sign, row))
+    return Form(grade, 0.0 if total_order is None else total_order,
+                {word: Expr.make(pairs, ctx.n) for word, pairs in words.items()})
 
 
 def print_form(form: Form, ctx: Context, digits: int | None = None) -> str:
     """Render in the form-literal syntax (sum coefficients are expanded)."""
-    if form.is_zero:
-        return "0"
-    if form.grade == 0:
-        return print_expr(form.terms[WedgeWord(())], ctx, digits)
     chunks: list[str] = []
-    from .symbolic import _term_text
-
     for word, coeff in form.terms.items():
-        wtxt = _word_text(word, ctx, digits)
+        wtxt = " & ".join(
+            f"d({ctx.names[f.coord]},{fmt_number(f.order, digits)})" for f in word.factors)
         for c, exps in zip(coeff.coeffs.tolist(), coeff.exponents.tolist()):
-            body = _term_text(c, exps, ctx, digits)
-            piece = wtxt if body == "1" else f"{body} {wtxt}"
-            if chunks:
-                chunks.append((" - " if c < 0 else " + ") + piece)
-            elif c >= 0:
-                chunks.append(piece)
-            elif body == "1":
-                chunks.append(f"-1 {wtxt}")
-            elif body[0].isdigit() or body[0] == ".":
-                chunks.append("-" + piece)
-            else:
-                # the grammar wants a number right after a leading minus
-                chunks.append(f"-1*{body} {wtxt}")
-    return "".join(chunks)
+            chunks.append(term_text(c, exps, ctx, digits, not chunks, wtxt))
+    return "".join(chunks) or "0"
 
 
 def form_to_json(form: Form, ctx: Context) -> dict:
@@ -391,8 +312,6 @@ def form_to_json(form: Form, ctx: Context) -> dict:
 
 
 def form_from_json(obj: dict, ctx: Context) -> Form:
-    from .symbolic import parse_expr
-
     accum: dict[WedgeWord, Expr] = {}
     for item in obj["terms"]:
         factors = [DiffFactor(ctx.index(f["coord"]), float(f["order"]))

@@ -140,7 +140,8 @@ def richardson(f: Callable, q: float, x: float, a: float = 0.0, h0: float = 1e-4
     return RichardsonResult(value, estimate, converged)
 
 
-def _freeze(f: Callable, coord: int, point: Sequence[float]) -> Callable:
+def freeze_all_but(f: Callable, coord: int, point: Sequence[float]) -> Callable:
+    """t -> f(point with coordinate ``coord`` set to t); t may be an array."""
     fixed = [np.float64(v) for v in point]
 
     def g(t):
@@ -154,13 +155,13 @@ def _freeze(f: Callable, coord: int, point: Sequence[float]) -> Callable:
 def gl_partial(f: Callable, coord: int, q: float, point: Sequence[float],
                a: float = 0.0, h: float = 1e-4) -> float:
     """GL partial of a multivariate evaluable along one coordinate line."""
-    return gl_deriv(_freeze(f, coord, point), q, float(point[coord]), a, h)
+    return gl_deriv(freeze_all_but(f, coord, point), q, float(point[coord]), a, h)
 
 
 def richardson_partial(f: Callable, coord: int, q: float, point: Sequence[float],
                        a: float = 0.0, h0: float = 1e-4, levels: int = 3) -> RichardsonResult:
     """Richardson-extrapolated GL partial along one coordinate line."""
-    return richardson(_freeze(f, coord, point), q, float(point[coord]), a, h0, levels)
+    return richardson(freeze_all_but(f, coord, point), q, float(point[coord]), a, h0, levels)
 
 
 def expr_evaluable(e: Expr, ctx: Context) -> Callable:
@@ -193,12 +194,4 @@ def expr_evaluable(e: Expr, ctx: Context) -> Callable:
 
 def expr_univariate(e: Expr, ctx: Context, coord: int | str, point: Sequence[float]) -> Callable:
     """Freeze every coordinate but one, returning a vectorized t -> f(t)."""
-    coord = ctx.index(coord)
-    multi = expr_evaluable(e, ctx)
-
-    def g(t):
-        args: list = [np.float64(v) for v in point]
-        args[coord] = t
-        return multi(args)
-
-    return g
+    return freeze_all_but(expr_evaluable(e, ctx), ctx.index(coord), point)

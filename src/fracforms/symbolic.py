@@ -6,11 +6,24 @@ multiplication, classical differentiation, and the fractional operators in
 :mod:`fracforms.rl`.  Initial points ``a_i`` live on the :class:`Context`,
 never on the terms themselves.
 
-Text grammar (whitespace insignificant)::
+Text grammar, read by :func:`scan_terms` (whitespace is allowed between any
+two tokens)::
 
     expr    := term (("+"|"-") term)*
     term    := signed_number ("*" factor)* | factor ("*" factor)*
     factor  := coord ("^" signed_number)?
+    signed_number := ("+"|"-")? number      e.g. 2, 0.5, .5, 3., 1.5e-2
+
+    form    := fterm (("+"|"-") fterm)*
+    fterm   := term wedge? | wedge
+    wedge   := diff ("&" diff)* "&"?
+    diff    := "d" "(" coord "," signed_number ")"
+
+A term needs a number right after a leading sign, so ``-x`` is rejected and
+``-1*x`` is read.  In a form, ``d(`` opens a differential unless it follows
+``*``; a literal with no wedge is a grade-0 form, and a dangling ``&`` at the
+end of a wedge is ignored.  The grammar has no nesting, so one regular
+expression reads a whole term.
 
 An :class:`Expr` over n coordinates holds its m terms as two read-only
 float64 arrays: the coefficient vector ``coeffs`` of shape (m,) and the
@@ -37,7 +50,7 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -65,8 +78,8 @@ def fmt_number(x: float, digits: int | None = None) -> str:
     """Format a double so the grammar can read it back.
 
     With ``digits`` set this is a display format (CLI uses 10 significant
-    digits); without it the shortest exact representation is used, expanded
-    to positional notation because the grammar has no exponent literals.
+    digits); without it the shortest exact representation is used, in
+    positional notation.
     """
     if digits is not None:
         return f"{x:.{digits}g}"
@@ -116,7 +129,9 @@ class Context:
             try:
                 return self.names.index(coord)
             except ValueError:
-                raise UnknownCoordinateError(f"unknown coordinate {coord!r}") from None
+                raise UnknownCoordinateError(
+                    f"unknown coordinate {coord!r} (declared: {', '.join(self.names)})"
+                ) from None
         if not 0 <= coord < self.n:
             raise UnknownCoordinateError(f"coordinate index {coord} out of range")
         return coord
@@ -461,149 +476,124 @@ def monomial(ctx: Context, coeff: float, powers: dict[int | str, float] | None =
 
 # --- text front end -------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^(),&])"
-    r")"
-)
+_NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_SIGNED = rf"[-+]?\s*{_NUM}"
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_FACTOR = rf"({_NAME})(?:\s*\^\s*({_SIGNED}))?"
+_DIFF = rf"d\s*\(\s*({_NAME})\s*,\s*({_SIGNED})\s*\)"
+_FACTOR_RE = re.compile(_FACTOR)
+_DIFF_RE = re.compile(_DIFF)
+# error path only, compiled on first use: the start of a differential, and
+# one token at a time with group 1 the first character no token starts with
+_DIFF_HEAD = rf"d\s*\(\s*({_NAME})?"
+_TOKEN = rf"\s*(?:{_NUM}|{_NAME}|[-+*^(),&]|(\S))"
 
 
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _term_re(form: bool) -> re.Pattern:
+    """One whole term and the sign after it.  A form term may start with its
+    wedge, so there ``d(`` does not start a coefficient factor."""
+    lead = r"(?!d\s*\()" if form else ""
+    wedge = rf"\s*{_DIFF}(?:\s*&\s*{_DIFF})*(?:\s*&)?" if form else ""
+    return re.compile(
+        rf"\s*(?P<body>(?:(?P<coef>{_SIGNED})(?P<facs>(?:\s*\*\s*{_FACTOR})*)"
+        rf"|{lead}(?P<lead>{_FACTOR}(?:\s*\*\s*{_FACTOR})*))?"
+        rf"(?P<wedge>(?:{wedge})?))\s*(?P<sep>[-+])?")
 
 
-class _Parser:
-    """Recursive-descent parser shared by the expression and form grammars."""
+_EXPR_TERM = _term_re(False)
+_FORM_TERM = _term_re(True)
 
-    def __init__(self, text: str, ctx: Context):
-        self.text = text
-        self.ctx = ctx
-        self.tokens = tokenize(text)
-        self.i = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
+def _number(text: str) -> float:
+    """A signed number as written; whitespace may follow the sign."""
+    return -float(text[1:]) if text[0] == "-" else float(text.lstrip("+"))
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def expect_op(self, op: str) -> None:
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val or 'end of input'!r}", pos)
+def _expr_of(coeffs: list, rows: list, n: int) -> Expr:
+    return canonicalize(Expr._draft(np.array(coeffs, dtype=np.float64),
+                                    np.array(rows, dtype=np.float64).reshape(len(rows), n), n))
 
-    def at_op(self, op: str) -> bool:
-        kind, val, _ = self.peek()
-        return kind == "op" and val == op
 
-    def parse_signed_number(self) -> float:
-        sign = 1.0
-        if self.at_op("+") or self.at_op("-"):
-            _, val, _ = self.next()
-            sign = -1.0 if val == "-" else 1.0
-        kind, val, pos = self.next()
-        if kind != "num":
-            raise ParseError(f"expected a number, found {val or 'end of input'!r}", pos)
-        return sign * float(val)
+def scan_terms(text: str, index: Callable[[str], int], n: int,
+               differential: Callable[[int, float], object] | None = None
+               ) -> tuple[list[float], list[list[float]], list[list]]:
+    """Read an expression or, given ``differential``, a form literal.
 
-    def parse_factor(self) -> tuple[int, float]:
-        kind, val, pos = self.next()
-        if kind != "ident":
-            raise ParseError(f"expected a coordinate, found {val or 'end of input'!r}", pos)
-        try:
-            idx = self.ctx.index(val)
-        except UnknownCoordinateError:
-            raise UnknownCoordinateError(
-                f"unknown coordinate {val!r} (declared: {', '.join(self.ctx.names)})"
-            ) from None
-        power = 1.0
-        if self.at_op("^"):
-            self.next()
-            power = self.parse_signed_number()
-        return idx, power
+    The one reader of the text grammar.  It returns three lists with one
+    entry per term, in text order: the coefficients, the dense exponent rows
+    of length ``n`` (``index`` maps a coordinate name to its column) and the
+    differentials, each built as ``differential(index(coord), order)`` (empty
+    for an expression).
 
-    def parse_term(self, sign: float) -> tuple[float, list[float]]:
-        """One product term as (coefficient, dense exponent list)."""
-        exps = [0.0] * self.ctx.n
-        kind, val, _ = self.peek()
-        if kind == "num" or (kind == "op" and val in "+-"):
-            coeff = sign * self.parse_signed_number()
-            while self.at_op("*"):
-                self.next()
-                idx, p = self.parse_factor()
-                exps[idx] += p
-        else:
-            coeff = sign
-            idx, p = self.parse_factor()
-            exps[idx] += p
-            while self.at_op("*"):
-                self.next()
-                idx, p = self.parse_factor()
-                exps[idx] += p
-        return coeff, exps
-
-    def parse_expr(self) -> Expr:
-        coeffs, rows = [], []
-        sign = 1.0
+    Errors come in the order of the text: a :class:`ParseError` where the
+    text leaves the grammar, or whatever ``index`` or ``differential`` raise
+    on an earlier factor.  A character no token starts with is reported
+    before anything else.
+    """
+    term_re = _EXPR_TERM if differential is None else _FORM_TERM
+    coeffs, rows, diffs = [], [], []
+    pos, sign = 0, 1.0
+    try:
         while True:
-            c, exps = self.parse_term(sign)
-            coeffs.append(c)
-            rows.append(exps)
-            if not (self.at_op("+") or self.at_op("-")):
+            m = term_re.match(text, pos)
+            body, coef, wedge, sep = m.group("body", "coef", "wedge", "sep")
+            if not body:
                 break
-            _, val, _ = self.next()
-            sign = -1.0 if val == "-" else 1.0
-        return canonicalize(Expr._draft(np.array(coeffs, dtype=np.float64),
-                                        np.array(rows, dtype=np.float64), self.ctx.n))
-
-    def expect_end(self) -> None:
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {val!r}", pos)
+            row = [0.0] * n
+            factors = _FACTOR_RE.findall(m.group("facs") or m.group("lead") or "")
+            for name, p in factors:
+                row[index(name)] += _number(p) if p else 1.0
+            coeffs.append(sign * _number(coef) if coef else sign)
+            rows.append(row)
+            diffs.append([differential(index(name), _number(order))
+                          for name, order in _DIFF_RE.findall(wedge)] if wedge else [])
+            if sep is None:
+                if m.end() == len(text):
+                    return coeffs, rows, diffs
+                break
+            sign = -1.0 if sep == "-" else 1.0
+            pos = m.end()
+        # reading stopped at j, inside the text
+        j = m.end() if body else m.start("body")
+        head = (differential is not None and not wedge.endswith(")")
+                and re.compile(_DIFF_HEAD).match(text, j))
+        if head:  # a differential cut short names an unknown coordinate first
+            if head.group(1):
+                index(head.group(1))
+            raise ParseError("expected d(coordinate, order)", j)
+        if not body:
+            raise ParseError(f"expected a term, found {text[j:j + 1] or 'end of input'!r}", j)
+        if text[j] == "*" or (text[j] == "^" and factors and not factors[-1][1] and not wedge):
+            what = "a coordinate" if text[j] == "*" else "a number"
+            raise ParseError(f"expected {what} after {text[j]!r}", j)
+        if differential is None:  # an overflow in the terms read outranks trailing input
+            _expr_of(coeffs, rows, n)
+        raise ParseError(f"trailing input {text[j:]!r}", j)
+    except (ParseError, ValueError):
+        for tok in re.finditer(_TOKEN, text):
+            if tok.group(1):
+                raise ParseError(f"unexpected character {tok.group(1)!r}", tok.start()) from None
+        raise
 
 
 def parse_expr(text: str, ctx: Context) -> Expr:
-    p = _Parser(text, ctx)
-    e = p.parse_expr()
-    p.expect_end()
-    return e
+    coeffs, rows, _ = scan_terms(text, ctx.index, ctx.n)
+    return _expr_of(coeffs, rows, ctx.n)
 
 
-def _term_text(coeff: float, exps: Sequence[float], ctx: Context, digits: int | None) -> str:
+def term_text(coeff: float, exps: Sequence[float], ctx: Context, digits: int | None = None,
+              first: bool = True, word: str = "") -> str:
+    """One term in the input grammar, with its sign and an optional wedge
+    ``word``: " - 2*x^3 d(x,0.5)".  A leading minus needs a number after it."""
+    facs = [ctx.names[i] if round(p, 9) == 1.0 else f"{ctx.names[i]}^{fmt_number(p, digits)}"
+            for i, p in enumerate(exps) if p != 0.0]
     mag = abs(coeff)
-    facs = []
-    for i, p in enumerate(exps):
-        if p == 0.0:
-            continue
-        if round(p, 9) == 1.0:
-            facs.append(ctx.names[i])
-        else:
-            facs.append(f"{ctx.names[i]}^{fmt_number(p, digits)}")
-    if not facs:
-        return fmt_number(mag, digits)
-    if mag == 1.0:
-        return "*".join(facs)
-    return fmt_number(mag, digits) + "*" + "*".join(facs)
+    if mag != 1.0 or (first and coeff < 0) or not (facs or word):
+        facs.insert(0, fmt_number(mag, digits))
+    body = " ".join(filter(None, ("*".join(facs), word)))
+    if first:
+        return "-" + body if coeff < 0 else body
+    return (" - " if coeff < 0 else " + ") + body
 
 
 def print_expr(e: Expr, ctx: Context, digits: int | None = None) -> str:
@@ -611,21 +601,8 @@ def print_expr(e: Expr, ctx: Context, digits: int | None = None) -> str:
     e = canonicalize(e)
     if not len(e.coeffs):
         return "0"
-    parts = []
-    for i, (c, exps) in enumerate(zip(e.coeffs.tolist(), e.exponents.tolist())):
-        body = _term_text(c, exps, ctx, digits)
-        if i == 0:
-            if c < 0:
-                # keep the leading sign on the number so the text stays in-grammar
-                if body[0].isdigit() or body[0] == ".":
-                    parts.append("-" + body)
-                else:
-                    parts.append("-1*" + body)
-            else:
-                parts.append(body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
+    return "".join(term_text(c, exps, ctx, digits, i == 0)
+                   for i, (c, exps) in enumerate(zip(e.coeffs.tolist(), e.exponents.tolist())))
 
 
 # --- evaluation and classical calculus -------------------------------------
