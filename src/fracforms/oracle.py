@@ -16,6 +16,13 @@ weights once: the coarser grids are strided slices of those samples (their
 step is the fine step times a power of two, so the nodes are bit for bit the
 same) and their weights are a prefix of the fine weights.  The sums use the
 compensated kernel in :mod:`fracforms.kernels`.
+
+The samples and the weights are the only arrays as long as the finest grid
+(16 bytes a node).  f is called on one block of :data:`~fracforms.kernels.BLOCK`
+nodes at a time, each node once, and the values are written into the one
+sample array; node arrays, f's temporaries and the kernel's buffers are all
+block-sized.  A non-finite sample stops the sampling at its block, and the
+error names the first such node.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NonConvergenceWarning, QuadratureDomainError
-from .kernels import gl_weighted_sum, gl_weights
+from .kernels import BLOCK, gl_weighted_sum, gl_weights
 from .symbolic import Context, Expr
 
 MIN_STEPS = 10
@@ -55,22 +62,24 @@ def _sample(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndar
 def _gl_levels(f, q: float, x: float, a: float, steps: int, levels: int) -> list[float]:
     """Plain GL sums with steps, 2*steps, ..., steps*2^(levels-1) intervals.
 
-    f is sampled once on the finest grid; level lvl takes every
-    2^(levels-1-lvl)-th sample, so every level ends on the node t = a and
-    drops it alike when f is singular there.
+    f is sampled once on the finest grid, a block of nodes at a time; level
+    lvl takes every 2^(levels-1-lvl)-th sample, so every level ends on the
+    node t = a and drops it alike when f is singular there.
     """
     fine = steps << (levels - 1)
     h = (x - a) / fine
-    # the node array is not kept: on fine grids it is a large share of the peak
-    vals = _sample(f, x - h * np.arange(fine + 1, dtype=np.float64))
-    bad = ~np.isfinite(vals)
+    vals = np.empty(fine + 1, dtype=np.float64)
     end = fine + 1
-    if bad.any():
-        # only the initial-point node may be singular; start at a + h then
-        if bad[:-1].any():
-            where = x - h * np.nonzero(bad[:-1])[0][0]
-            raise QuadratureDomainError(f"integrand undefined at sample node t={where}")
-        end = fine
+    for lo in range(0, end, BLOCK):
+        blk = vals[lo:lo + BLOCK]
+        blk[...] = _sample(f, x - h * np.arange(lo, lo + blk.shape[0], dtype=np.float64))
+        ok = np.isfinite(blk)
+        if not ok.all():
+            # only the initial-point node may be singular; start at a + h then
+            k = lo + int(np.argmin(ok))
+            if k < fine:
+                raise QuadratureDomainError(f"integrand undefined at sample node t={x - h * k}")
+            end = fine
     weights = gl_weights(q, end)
     sums = []
     for lvl in range(levels):

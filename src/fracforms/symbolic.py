@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -78,17 +77,15 @@ def fmt_number(x: float, digits: int | None = None) -> str:
     """Format a double so the grammar can read it back.
 
     With ``digits`` set this is a display format (CLI uses 10 significant
-    digits); without it the shortest exact representation is used, in
-    positional notation.
+    digits).  Without it, whole numbers below 1e16 are written as integers
+    and every other double as its ``repr``, the shortest text that reads back
+    to the same double (``2.5e-07``, ``1e+16``).
     """
     if digits is not None:
         return f"{x:.{digits}g}"
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
-    r = repr(float(x))
-    if "e" in r or "E" in r:
-        return format(Decimal(r), "f")
-    return r
+    return repr(float(x))
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracforms import gen_binomial
-from fracforms.kernels import backend, gl_weighted_sum, gl_weights
+from fracforms.kernels import BLOCK, FSUM_TAIL, backend, gl_weighted_sum, gl_weights
 
 
 def test_weights_match_binomial_closed_form():
@@ -28,6 +28,26 @@ def test_whole_order_weights_terminate():
     w = gl_weights(2.0, 6)
     assert w[:3] == pytest.approx([1.0, -2.0, 1.0])
     assert np.all(w[3:] == 0.0)
+
+
+def _sequential_weights(q, n):
+    """The weights from one unblocked cumprod of the ratios (k - 1 - q) / k."""
+    w = np.empty(n)
+    w[0] = 1.0
+    k = np.arange(1, n, dtype=np.float64)
+    np.cumprod((k - 1.0 - q) / k, out=w[1:])
+    return w
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 3 * BLOCK + 5])
+@pytest.mark.parametrize("q", [0.4, -1.3, 1.9, 0.0, 1.0, 2.0, 3.0])
+def test_blocked_weights_equal_one_cumprod_byte_for_byte(q, n):
+    # at whole q the weights end in exact zeros, negative ones for odd q,
+    # which the carried weight must take across every block edge
+    got = gl_weights(q, n)
+    assert got.tobytes() == _sequential_weights(q, n).tobytes()
+    if q == 3.0 and n > BLOCK + 1:
+        assert np.signbit(got[BLOCK:BLOCK + 2]).all() and not got[4:].any()
 
 
 @given(st.floats(min_value=0.05, max_value=2.5), st.integers(min_value=1, max_value=200))
@@ -71,6 +91,80 @@ def test_sum_matches_fsum_property(q, n, p, seed):
     w = gl_weights(q, n + 3)
     want, bound = _fsum_bound(w, f)
     assert abs(gl_weighted_sum(f, w) - want) <= bound
+
+
+# sizes on and around block edges, plus anything up to four blocks and a
+# ragged tail
+_block_sizes = st.one_of(
+    st.integers(min_value=1, max_value=4 * BLOCK + 17),
+    st.builds(lambda j, d: j * BLOCK + d, st.integers(min_value=1, max_value=4),
+              st.integers(min_value=-2, max_value=17)),
+)
+
+
+@given(
+    st.floats(min_value=-2.0, max_value=2.0, exclude_min=True, exclude_max=True),
+    _block_sizes,
+    st.floats(min_value=0.0, max_value=3.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(0.5, 4 * BLOCK + 17, 0.0, 0)
+@example(1.9, BLOCK + 1, 0.9, 1)
+@settings(max_examples=60, deadline=None)
+def test_sum_matches_fsum_across_blocks_property(q, n, p, seed):
+    # the samples of test_sum_matches_fsum_property at sizes that span
+    # several blocks; every block's fold obeys the same bound
+    rng = np.random.default_rng(seed)
+    t = 1.0 - np.arange(n) / n
+    f = t**p + rng.normal(size=n) * 10.0 ** rng.uniform(-30, 0, size=n)
+    w = gl_weights(q, n + 3)
+    want, bound = _fsum_bound(w, f)
+    assert abs(gl_weighted_sum(f, w) - want) <= bound
+
+
+def _unblocked_sum(fvals, weights):
+    """The kernel as it was before blocking: one fold over all n products."""
+    fvals = np.asarray(fvals, dtype=np.float64)
+    n = fvals.shape[0]
+    a = np.multiply(weights[:n], fvals)
+    s_buf = np.empty((n + 1) // 2)
+    bb_buf = np.empty(n // 2)
+    err_sums = []
+    m = n
+    while m > FSUM_TAIL:
+        h = m // 2
+        x, y, s, bb = a[:h], a[h:2 * h], s_buf[:h], bb_buf[:h]
+        np.add(x, y, out=s)
+        np.subtract(s, x, out=bb)
+        np.subtract(y, bb, out=y)
+        np.subtract(s, bb, out=bb)
+        np.subtract(x, bb, out=x)
+        np.add(x, y, out=x)
+        err_sums.append(float(x.sum()))
+        if m & 1:
+            s_buf[h] = a[m - 1]
+            h += 1
+        a, s_buf, m = s_buf, a, h
+    return math.fsum(a[:m].tolist() + err_sums)
+
+
+@given(
+    st.floats(min_value=-2.0, max_value=2.0, exclude_min=True, exclude_max=True),
+    st.integers(min_value=0, max_value=BLOCK),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=3),
+)
+@example(0.7, 0, 0, 1)
+@example(0.7, FSUM_TAIL + 1, 0, 1)
+@example(1.3, BLOCK - 1, 1, 2)
+@example(-0.4, BLOCK, 2, 3)
+@settings(max_examples=100, deadline=None)
+def test_one_block_sum_is_the_unblocked_kernel_bit_for_bit(q, n, seed, stride):
+    # strided samples, as each Richardson level passes them
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=n * stride)[::stride] * 10.0 ** rng.uniform(-20, 20, size=n)
+    w = gl_weights(q, n + 1)
+    assert gl_weighted_sum(f, w) == _unblocked_sum(f, w)
 
 
 def test_sum_is_accurate_on_an_ill_conditioned_gl_sum():

@@ -5,6 +5,7 @@ high-precision gamma factors, never from the symbolic module under test.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,9 +21,11 @@ from fracforms import (
     gl_deriv,
     gl_partial,
     monomial,
+    parse_expr,
     richardson,
     richardson_partial,
 )
+from fracforms.kernels import BLOCK
 from fracforms.oracle import MIN_STEPS
 
 SQRT_PI = 1.7724538509055160
@@ -190,6 +193,11 @@ def _table_from_gl_deriv(f, q, x, a, h0, levels):
         # endpoint-singular: every level drops its node at the anchor
         (lambda t: np.asarray(t) ** -0.5, 0.5, 2.0, 0.0, 1e-3, 4),
         (lambda t: np.asarray(t) ** -0.5, -1.3, 0.7, 0.0, 0.01, 5),
+        # every level spans several blocks of the kernel
+        (lambda t: np.exp(t) * np.sin(3.0 * t), 0.7, 2.0, 0.0, 2.0 / (BLOCK + 37), 3),
+        # and the dropped node at the anchor lies in each level's last block
+        (lambda t: np.asarray(t) ** -0.5, 0.5, 2.0, 0.0, 2.0 / (2 * BLOCK + 5), 3),
+        (lambda t: np.asarray(t) ** -0.3, -0.6, 1.5, 0.0, 1.5 / (BLOCK + 1), 2),
     ],
 )
 def test_richardson_matches_per_level_gl_deriv_bit_for_bit(f, q, x, a, h0, levels):
@@ -209,6 +217,49 @@ def test_richardson_samples_the_integrand_once():
 
     richardson(f, 0.5, 1.0, 0.0, h0=1e-3, levels=5)
     assert shapes == [(1000 * 2**4 + 1,)]
+
+
+def test_richardson_samples_every_node_once_in_order():
+    got = []
+
+    def f(t):
+        got.append(np.array(t, copy=True))
+        return np.cos(t)
+
+    steps0 = BLOCK // 3 + 7
+    richardson(f, 0.5, 1.0, 0.0, h0=1.0 / steps0, levels=4)
+    fine = steps0 * 2**3
+    assert len(got) > 1
+    h = 1.0 / fine
+    assert np.concatenate(got).tobytes() == (1.0 - h * np.arange(fine + 1)).tobytes()
+
+
+def test_first_bad_node_in_a_later_block_is_named():
+    fine = 3 * BLOCK + 10
+    x, h = 2.0, 2.0 / fine
+    firsts = [2 * BLOCK + 5, 3 * BLOCK + 1]  # in the third and fourth blocks
+    bad_nodes = x - h * np.array(firsts, dtype=np.float64)
+    f = lambda t: np.where(np.isin(t, bad_nodes), np.nan, np.asarray(t) ** 0.5)
+    with pytest.raises(QuadratureDomainError) as exc:
+        gl_deriv(f, 0.5, x, 0.0, h=h)
+    assert str(exc.value) == f"integrand undefined at sample node t={x - h * firsts[0]}"
+
+
+def test_richardson_peak_memory_is_bounded_on_a_fine_grid():
+    # 3 200 001 nodes: the samples and the weights are the only full-length
+    # arrays; everything else is a block
+    ctx = Context.of(("x",))
+    f = expr_univariate(parse_expr("1.3*x^2.2", ctx), ctx, "x", (2.0,))
+    nodes = 200_000 * 2**4 + 1
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():  # the finest extrapolants sit at rounding level
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            richardson(f, 0.4, 2.0, 0.0, h0=1e-5, levels=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * nodes + 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

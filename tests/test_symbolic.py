@@ -260,6 +260,29 @@ def test_print_integer_coefficients_bare():
     assert print_expr(monomial(X, -1.0, {}), X) == "-1"
 
 
+def test_print_uses_repr_for_tiny_and_huge_numbers():
+    assert symbolic.fmt_number(5e-324) == "5e-324"
+    assert symbolic.fmt_number(1e16) == "1e+16"
+    assert symbolic.fmt_number(-2e-3) == "-0.002"
+    assert symbolic.fmt_number(2.5e-7) == "2.5e-07"
+    assert symbolic.fmt_number(9007199254740991.0) == "9007199254740991"
+    assert print_expr(monomial(X, 3e300, {0: 1.0}), X) == "3e+300*x"
+    e = monomial(X, 2.0, {0: 1e-7})
+    assert print_expr(e, X) == "2*x^1e-07"
+    assert parse_expr(print_expr(e, X), X) == e
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(5e-324)
+@example(-1.7976931348623157e308)
+@example(1e16)
+@example(-0.0)
+@settings(max_examples=500, deadline=None)
+def test_fmt_number_reads_back_to_the_same_double(x):
+    coeffs, rows, _ = symbolic.scan_terms(symbolic.fmt_number(x), X.index, 1)
+    assert coeffs == [x] and rows == [[0.0]]
+
+
 @pytest.mark.parametrize(
     "text",
     ["", "x +", "^2", "x^^2", "3*", "x y", "(x", "x^2.5.3", "-x^2"],
