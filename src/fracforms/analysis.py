@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnsupportedError, VerificationError
-from .forms import Form, forms_close, frac_exterior_deriv
+from .forms import DiffFactor, Form, WedgeWord, forms_close, frac_exterior_deriv
 from .rl import rl_deriv, rl_integ
 from .specialfn import whole_ceil
 from .symbolic import (
@@ -68,10 +68,10 @@ def kernel_basis_dv(nu: float, ctx: Context) -> list[Expr]:
 
 @dataclass(frozen=True)
 class ClosureReport:
-    """Outcome of the order-mu closedness test on a grade-1 form.
+    """Outcome of the order-mu closedness test d^mu alpha = 0 on a grade-1 form.
 
-    ``witnesses`` holds one (i, j, residual) triple per violated condition;
-    the form is closed exactly when the list is empty.
+    ``witnesses`` holds one (i, j, residual) triple per word of d^mu alpha
+    above RESIDUAL_TOL, sorted by (i, j); closed means the list is empty.
     """
 
     closed: bool
@@ -86,30 +86,32 @@ def _components(alpha: Form, ctx: Context) -> list[Expr]:
     return [alpha.component(i, ctx.n) for i in range(ctx.n)]
 
 
-def is_closed(alpha: Form, mu: float, ctx: Context, tol: float = RESIDUAL_TOL) -> ClosureReport:
-    """Test d^mu alpha = 0 for a grade-1 form of uniform order nu.
+def is_closed(alpha: Form, mu: float, ctx: Context) -> ClosureReport:
+    """Test d^mu alpha = 0 for a grade-1 form of uniform order nu, mu > 0.
 
-    When mu differs from nu no cross-term cancellation is possible, so every
-    partial rl_deriv(alpha_i, j, mu) must vanish on its own.  When mu equals
-    nu the i = j words are identically zero and the i < j pairs combine into
-    the antisymmetrized condition rl_deriv(alpha_j, i) - rl_deriv(alpha_i, j).
+    A mu within EXP_TOL of nu is taken as nu, so d(i,nu) & d(i,nu) is the
+    zero word and d(i,nu) & d(j,nu) holds rl_deriv(alpha_j, i) -
+    rl_deriv(alpha_i, j).  For any other mu, the word of d(j,mu) and d(i,nu)
+    holds the single partial rl_deriv(alpha_i, j, mu) up to the word's sign.
     """
     mu = float(mu)
     comps = _components(alpha, ctx)
+    if mu <= EXP_TOL:
+        raise ValueError(f"closedness order must be positive, got {mu}")
     nu = alpha.total_order
+    order = nu if abs(mu - nu) <= EXP_TOL else mu
+    alpha = Form(1, nu, {WedgeWord((DiffFactor(i, nu),)): c for i, c in enumerate(comps)})
     witnesses = []
-    if abs(mu - nu) <= EXP_TOL:
-        for i in range(ctx.n):
-            for j in range(i + 1, ctx.n):
-                res = rl_deriv(comps[j], i, mu, ctx) - rl_deriv(comps[i], j, mu, ctx)
-                if max_abs_coeff(res) > tol:
-                    witnesses.append((i, j, res))
-    else:
-        for i in range(ctx.n):
-            for j in range(ctx.n):
-                res = rl_deriv(comps[i], j, mu, ctx)
-                if max_abs_coeff(res) > tol:
-                    witnesses.append((i, j, res))
+    for word, res in frac_exterior_deriv(alpha, order, ctx).terms.items():
+        if max_abs_coeff(res) <= RESIDUAL_TOL:
+            continue
+        first, second = word.factors  # d(i,nu) & d(j,nu), i < j, when mu is nu
+        if first.order != order:  # d(i,nu) & d(j,mu) = -(d(j,mu) & d(i,nu))
+            res = -res
+        elif second.order != order:  # d(j,mu) & d(i,nu)
+            first, second = second, first
+        witnesses.append((first.coord, second.coord, res))
+    witnesses.sort(key=lambda w: w[:2])
     return ClosureReport(not witnesses, tuple(witnesses), mu, nu)
 
 

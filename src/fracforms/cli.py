@@ -43,6 +43,7 @@ from .oracle import expr_univariate, gl_deriv, richardson
 from .rl import rl_deriv, rl_integ
 from .specialfn import gamma_ratio, rgamma
 from .symbolic import (
+    EXP_TOL,
     Context,
     Expr,
     eval_expr,
@@ -159,10 +160,8 @@ def cmd_dv(args) -> int:
 def cmd_closed(args) -> int:
     ctx = _context(args, args.input)
     form = parse_form(args.input, ctx)
-    if form.grade != 1:
-        raise ValueError(f"closedness applies to grade-1 forms, got grade {form.grade}")
     nu = form.total_order
-    if args.order is not None and abs(args.order - nu) > 1e-9:
+    if args.order is not None and abs(args.order - nu) > EXP_TOL:
         raise ValueError(f"--order {args.order} does not match the form's order {nu}")
     mu = args.mu if args.mu is not None else nu
     report = is_closed(form, mu, ctx)
@@ -466,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("closed", help="order-mu closedness test for a grade-1 form")
     common(sp)
-    sp.add_argument("--mu", type=float, help="test order (defaults to the form's order)")
+    sp.add_argument("--mu", type=float, help="test order, > 0 (defaults to the form's order)")
     sp.add_argument("input", help="form literal")
     sp.set_defaults(func=cmd_closed)
 

@@ -17,7 +17,7 @@ wedge word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -59,18 +59,14 @@ class DiffFactor:
 class WedgeWord:
     """Factors sorted ascending by (coord, order); equality is by rounded key."""
 
-    factors: tuple[DiffFactor, ...]
+    factors: tuple[DiffFactor, ...] = field(compare=False)
+    _key: tuple[tuple[int, float], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):  # rounded once: words are dict keys on every hot path
+        object.__setattr__(self, "_key", tuple(f.key() for f in self.factors))
 
     def key(self) -> tuple[tuple[int, float], ...]:
-        return tuple(f.key() for f in self.factors)
-
-    def __eq__(self, other):
-        if not isinstance(other, WedgeWord):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+        return self._key
 
     @property
     def grade(self) -> int:
@@ -230,10 +226,10 @@ def wedge(a: Form, b: Form) -> Form:
 def frac_exterior_deriv(a: Form | Expr, nu: float, ctx: Context) -> Form:
     """Fractional exterior derivative of order nu >= 0.
 
-    Each coefficient is differintegrated along every coordinate and the new
-    factor d(coord, nu) is prepended to the word.  At nu = 0 the new factors
-    collapse into the scalar unit, so the grade does not change and each
-    coefficient simply picks up one copy per coordinate.
+    Each coefficient is differintegrated along every coordinate whose factor
+    d(coord, nu) is not in the word yet, and that factor is prepended to the
+    word.  At nu = 0 the new factors collapse into the scalar unit, so the
+    grade does not change and each coefficient picks up one copy per coordinate.
     """
     nu = float(nu)
     if nu < 0:
@@ -246,14 +242,14 @@ def frac_exterior_deriv(a: Form | Expr, nu: float, ctx: Context) -> Form:
     out: dict[WedgeWord, Expr] = {}
     for word, coeff in a.terms.items():
         for j in range(ctx.n):
+            sign, new_word = canonical_word((DiffFactor(j, nu),) + word.factors)
+            if new_word is None:  # d(j, nu) is already in the word
+                continue
             dc = rl_deriv(coeff, j, nu, ctx)
             if is_zero(dc):
                 continue
-            sign, new_word = canonical_word((DiffFactor(j, nu),) + word.factors)
-            if new_word is None:
-                continue
-            piece = dc * float(sign)
-            out[new_word] = out[new_word] + piece if new_word in out else piece
+            dc = -dc if sign < 0 else dc
+            out[new_word] = out[new_word] + dc if new_word in out else dc
     return Form(grade, order, out)
 
 

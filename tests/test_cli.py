@@ -102,6 +102,13 @@ def test_dv_whole_order(capsys):
     assert out == "2 d(x,2)"
 
 
+def test_dv_skips_zero_words(capsys):
+    # d(x,1) & d(x,1) is the zero word, so x^-2 is never differentiated along x
+    code, out, _ = run(capsys, "dv", "x^-2 d(x,1) + y d(y,1)", "--order", "1")
+    assert code == 0
+    assert out == "0"
+
+
 def test_dv_json_round_trips(capsys):
     code, out, _ = run(capsys, "dv", "x1^2*x2", "--order", "0.5", "--json")
     assert code == 0
@@ -125,6 +132,33 @@ def test_closed_no_with_witness(capsys):
     code, out, _ = run(capsys, "closed", "x2 d(x1,1)", "--coords", "x1,x2")
     assert code == 0
     assert out.splitlines() == ["closed: no", "witness (i=x1, j=x2): -1"]
+
+
+def test_closed_witnesses_at_another_order(capsys):
+    code, out, _ = run(capsys, "closed", "x2 d(x1,1) + x1^1.5 d(x2,1)",
+                       "--coords", "x1,x2", "--mu", "0.5")
+    assert code == 0
+    assert out.splitlines() == [
+        "closed: no",
+        "witness (i=x1, j=x1): 0.5641895835*x1^-0.5*x2",
+        "witness (i=x1, j=x2): 1.128379167*x2^0.5",
+        "witness (i=x2, j=x1): 1.329340388*x1",
+        "witness (i=x2, j=x2): 0.5641895835*x1^1.5*x2^-0.5",
+    ]
+
+
+def test_closed_needs_a_one_form(capsys):
+    code, out, err = run(capsys, "closed", "x1", "--coords", "x1,x2")
+    assert code == 3
+    assert out == ""
+    assert "grade 0" in err
+
+
+def test_closed_needs_a_positive_order(capsys):
+    code, out, err = run(capsys, "closed", "x2 d(x1,1)", "--coords", "x1,x2", "--mu", "0")
+    assert code == 3
+    assert out == ""
+    assert "order must be positive, got 0.0" in err
 
 
 def test_exact_yes(capsys):

@@ -259,13 +259,42 @@ def test_classical_reduction_randomized(p1, p2, c):
         assert exprs_close(got.coefficient(WedgeWord((d(name, 1.0),)), 2), want, tol=1e-10)
 
 
+@st.composite
+def power_product_forms(draw, nu):
+    """A grade-0 or grade-1 form over XYZ with power-product coefficients."""
+    def coeff():
+        out = monomial(XYZ, 0.0, {})
+        for _ in range(draw(st.integers(1, 3))):
+            c = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.01, 5.0))
+            exps = draw(st.lists(
+                st.one_of(st.sampled_from((0.0, 1.0, 2.0, nu - 1.0)),
+                          st.floats(min_value=-0.95, max_value=2.95)),
+                min_size=3, max_size=3))
+            out = out + monomial(XYZ, c, dict(enumerate(exps)))
+        return out
+
+    if draw(st.booleans()):
+        return Form.scalar(coeff())
+    return Form(1, nu, {WedgeWord((DiffFactor(i, nu),)): coeff()
+                        for i in range(3) if draw(st.booleans())})
+
+
 @pytest.mark.parametrize("nu", [0.3, 0.5, 1.0])
-def test_derivative_applied_twice_vanishes(nu):
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_derivative_applied_twice_vanishes(nu, data):
     # mixed fractional partials commute on power products, and repeated
     # directions die by antisymmetry, so d(d f) = 0 on this class
     f = parse_expr("x1^2*x2 + 3*x1", XY)
     dd = frac_exterior_deriv(frac_exterior_deriv(f, nu, XY), nu, XY)
     assert dd.is_zero
+    # grade 0 -> 2 and grade 1 -> 3 over three coordinates; the second
+    # derivative never runs along a coordinate the first one lowered, so no
+    # exponent the first pushed to -1 or below can raise
+    a = data.draw(power_product_forms(nu))
+    dd = frac_exterior_deriv(frac_exterior_deriv(a, nu, XYZ), nu, XYZ)
+    assert dd.is_zero
+    assert dd.grade == a.grade + 2
 
 
 def test_derivative_is_linear():
