@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .errors import ParseError
 from .rl import rl_deriv
 from .symbolic import (
@@ -194,16 +192,10 @@ def forms_close(a: Form, b: Form, tol: float = 1e-12) -> bool:
     """Canonical equality up to a coefficient tolerance."""
     if a.grade != b.grade or abs(a.total_order - b.total_order) > EXP_TOL:
         return False
-    words = set(a.terms) | set(b.terms)
-    for w in words:
-        ca = a.terms.get(w)
-        cb = b.terms.get(w)
-        if ca is None or cb is None:
-            other = cb if ca is None else ca
-            if (np.abs(other.coeffs) > tol).any():
-                return False
-            continue
-        if not exprs_close(ca, cb, tol):
+    for w in set(a.terms) | set(b.terms):
+        ca, cb = a.terms.get(w), b.terms.get(w)
+        n = (ca or cb).n  # a word missing on one side has coefficient zero there
+        if not exprs_close(ca or Expr.zero(n), cb or Expr.zero(n), tol):
             return False
     return True
 

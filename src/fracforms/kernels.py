@@ -127,5 +127,7 @@ def gl_weighted_sum(fvals: np.ndarray, weights: np.ndarray) -> float:
 
 
 def backend() -> str:
-    """Name of the summation backend; numpy is the only one."""
+    """Name of the summation backend, always ``"numpy"``.  Kept only because
+    the benchmark under ``perfbench/`` reports it; it goes with the benchmark
+    change of ROADMAP item 5."""
     return "numpy"

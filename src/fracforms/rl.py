@@ -87,7 +87,7 @@ def power_rule_map(e: Expr, coord: int, q: float, ctx: Context,
     else:
         exps = exps.copy()
     exps[:, coord] = p - q
-    return canonicalize(Expr._draft(coeffs * factors, exps, e.n))
+    return canonicalize(Expr(coeffs * factors, exps, e.n))
 
 
 def rl_deriv(e: Expr, coord: int | str, q: float, ctx: Context) -> Expr:

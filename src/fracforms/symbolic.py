@@ -27,9 +27,9 @@ expression reads a whole term.
 
 An :class:`Expr` over n coordinates holds its m terms as two read-only
 float64 arrays: the coefficient vector ``coeffs`` of shape (m,) and the
-exponent matrix ``exponents`` of shape (m, n).  The operators work on those
-arrays directly; ``Expr.terms``, the tuple of :class:`PowerTerm` objects, is a
-view built on first use.
+exponent matrix ``exponents`` of shape (m, n), and nothing else.  The
+operators work on those arrays directly; ``Expr(coeffs, exponents, n)`` is
+the one constructor that wraps them.
 
 Canonicalization snaps exponents within 1e-9 of 0 to 0, merges terms whose
 exponent vectors round to the same key ``round(p, 9)`` in every coordinate,
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -137,29 +138,9 @@ class Context:
         return all(a == 0.0 for a in self.initial_points)
 
 
-@dataclass(frozen=True)
-class PowerTerm:
-    """One term c * prod_i (x_i - a_i)^(p_i); exponents are dense over the context."""
-
-    coeff: float
-    exponents: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", float(self.coeff))
-        object.__setattr__(self, "exponents", tuple(float(p) for p in self.exponents))
-        if not math.isfinite(self.coeff):
-            raise ValueError("term coefficient must be finite")
-        for p in self.exponents:
-            if not math.isfinite(p):
-                raise ValueError("term exponent must be finite")
-
-    def key(self) -> tuple[float, ...]:
-        return tuple(round(p, 9) for p in self.exponents)
-
-
 def _check_finite(coeffs: np.ndarray, exponents: np.ndarray) -> None:
-    """Raise as :class:`PowerTerm` would for the first term holding a
-    non-finite coefficient or exponent."""
+    """Raise ``ValueError`` for the first term, in order, that holds a
+    non-finite coefficient or exponent, naming which of the two it is."""
     ok_c = np.isfinite(coeffs)
     ok = ok_c & np.isfinite(exponents).all(axis=1)
     if not ok.all():
@@ -168,60 +149,55 @@ def _check_finite(coeffs: np.ndarray, exponents: np.ndarray) -> None:
                          else "term coefficient must be finite")
 
 
-def _fill(e, coeffs, exponents, n, canonical, terms):
-    e.coeffs = coeffs
-    e.exponents = exponents
-    e.n = n
-    e._canonical = canonical
-    e._terms = terms
-    return e
+_Term = namedtuple("_Term", "coeff exponents")
+
+
+class _TermView:
+    """``Expr.terms``: ``len`` reads the coefficient vector, and iteration
+    builds one ``(coeff, exponents)`` item per term as it goes."""
+
+    __slots__ = ("_e",)
+
+    def __init__(self, e: "Expr"):
+        self._e = e
+
+    def __len__(self):
+        return len(self._e.coeffs)
+
+    def __iter__(self):
+        return map(_Term, self._e.coeffs.tolist(), map(tuple, self._e.exponents.tolist()))
 
 
 class Expr:
-    """Finite sum of power products as a coefficient vector and an exponent
-    matrix, both read-only.  Build via the helpers below; ``Expr(terms, n)``
-    takes a tuple of :class:`PowerTerm` and leaves it uncanonicalized."""
+    """Finite sum of power products as a coefficient vector ``coeffs`` of
+    shape (m,) and an exponent matrix ``exponents`` of shape (m, n).
 
-    __slots__ = ("coeffs", "exponents", "n", "_canonical", "_terms")
+    ``Expr(coeffs, exponents, n)`` wraps float64 arrays as they are and makes
+    them read-only; the caller must not write to the memory they view
+    afterwards.  It checks nothing and leaves the result uncanonicalized
+    unless ``canonical`` says the arrays already are; :meth:`make`,
+    :meth:`constant` and :meth:`zero` build canonical expressions from
+    values.
+    """
 
-    def __init__(self, terms: Iterable[PowerTerm], n: int):
-        terms = tuple(terms)
-        try:
-            exps = np.array([t.exponents for t in terms], dtype=np.float64).reshape(len(terms), n)
-        except ValueError:
-            raise ValueError("exponent vector length must match the context") from None
-        coeffs = np.array([t.coeff for t in terms], dtype=np.float64)
-        coeffs.setflags(write=False)
-        exps.setflags(write=False)
-        _fill(self, coeffs, exps, n, False, terms)
+    __slots__ = ("coeffs", "exponents", "n", "_canonical")
 
-    @classmethod
-    def _of(cls, coeffs: np.ndarray, exponents: np.ndarray, n: int,
-            canonical: bool = False) -> "Expr":
-        """Wrap arrays as an expression and make them read-only."""
+    def __init__(self, coeffs: np.ndarray, exponents: np.ndarray, n: int,
+                 canonical: bool = False):
         coeffs.setflags(write=False)
         exponents.setflags(write=False)
-        return _fill(object.__new__(cls), coeffs, exponents, n, canonical, None)
-
-    @classmethod
-    def _draft(cls, coeffs: np.ndarray, exponents: np.ndarray, n: int) -> "Expr":
-        """Wrap arrays without freezing them, for a result handed straight to
-        :func:`canonicalize`, which checks its values and freezes its output."""
-        return _fill(object.__new__(cls), coeffs, exponents, n, False, None)
+        self.coeffs = coeffs
+        self.exponents = exponents
+        self.n = n
+        self._canonical = canonical
 
     @property
-    def terms(self) -> tuple[PowerTerm, ...]:
-        """The terms as :class:`PowerTerm` objects (built once, on first use)."""
-        if self._terms is None:
-            out = []
-            for c, exps in zip(self.coeffs.tolist(), map(tuple, self.exponents.tolist())):
-                t = object.__new__(PowerTerm)  # the values are finite floats already
-                d = t.__dict__
-                d["coeff"] = c
-                d["exponents"] = exps
-                out.append(t)
-            self._terms = tuple(out)
-        return self._terms
+    def terms(self) -> _TermView:
+        """The terms as items with ``.coeff`` and ``.exponents`` (a tuple),
+        built on access.  Kept only because the benchmark under
+        ``perfbench/`` reads it; it goes with the benchmark change of ROADMAP
+        item 5."""
+        return _TermView(self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -230,17 +206,20 @@ class Expr:
                 and np.array_equal(self.exponents, other.exponents))
 
     def __hash__(self):
-        return hash((self.terms, self.n))
+        # Python floats hash 0.0 and -0.0 alike, as __eq__ compares them
+        return hash((self.n, tuple(self.coeffs.tolist()),
+                     tuple(map(tuple, self.exponents.tolist()))))
 
     def __repr__(self):
-        return f"Expr(terms={self.terms!r}, n={self.n!r})"
+        return (f"Expr(coeffs={self.coeffs.tolist()!r}, "
+                f"exponents={self.exponents.tolist()!r}, n={self.n!r})")
 
     def __reduce__(self):
-        return (Expr, (self.terms, self.n))
+        return (Expr, (self.coeffs, self.exponents, self.n, self._canonical))
 
     @classmethod
     def zero(cls, n: int) -> "Expr":
-        return cls._of(np.empty(0), np.empty((0, n)), n, canonical=True)
+        return cls(np.empty(0), np.empty((0, n)), n, canonical=True)
 
     @classmethod
     def constant(cls, c: float, n: int) -> "Expr":
@@ -249,7 +228,7 @@ class Expr:
             raise ValueError("term coefficient must be finite")
         if abs(c) < COEFF_DROP:
             return cls.zero(n)
-        return cls._of(np.array([c]), np.zeros((1, n)), n, canonical=True)
+        return cls(np.array([c]), np.zeros((1, n)), n, canonical=True)
 
     @classmethod
     def make(cls, pairs: Iterable[tuple[float, Sequence[float]]], n: int) -> "Expr":
@@ -260,12 +239,12 @@ class Expr:
                             dtype=np.float64).reshape(len(pairs), n)
         except ValueError:
             raise ValueError("exponent vector length must match the context") from None
-        return canonicalize(cls._draft(coeffs, exps, n))
+        return canonicalize(cls(coeffs, exps, n))
 
     def take(self, keep: np.ndarray) -> "Expr":
         """The terms where the boolean mask ``keep`` is true, in order; a
         subset of a canonical expression is canonical."""
-        return Expr._of(self.coeffs[keep], self.exponents[keep], self.n, self._canonical)
+        return Expr(self.coeffs[keep], self.exponents[keep], self.n, self._canonical)
 
     def _check(self, other: "Expr"):
         if self.n != other.n:
@@ -281,14 +260,14 @@ class Expr:
             return canonicalize(self)
         if not len(self.coeffs):
             return canonicalize(other)
-        return canonicalize(Expr._draft(np.concatenate((self.coeffs, other.coeffs)),
-                                       np.concatenate((self.exponents, other.exponents)),
-                                       self.n))
+        return canonicalize(Expr(np.concatenate((self.coeffs, other.coeffs)),
+                                 np.concatenate((self.exponents, other.exponents)),
+                                 self.n))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr._of(-self.coeffs, self.exponents, self.n, self._canonical)
+        return Expr(-self.coeffs, self.exponents, self.n, self._canonical)
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
@@ -308,15 +287,15 @@ class Expr:
                 if not np.isfinite(coeffs).all():
                     raise ValueError("term coefficient must be finite")
                 keep = np.abs(coeffs) >= COEFF_DROP
-                return Expr._of(coeffs[keep], self.exponents[keep], self.n, True)
-            return canonicalize(Expr._draft(coeffs, self.exponents, self.n))
+                return Expr(coeffs[keep], self.exponents[keep], self.n, True)
+            return canonicalize(Expr(coeffs, self.exponents, self.n))
         if not isinstance(other, Expr):
             return NotImplemented
         self._check(other)
         # row-major: every term of self times every term of other, in turn
         coeffs = np.multiply.outer(self.coeffs, other.coeffs).ravel()
         exps = (self.exponents[:, None, :] + other.exponents[None, :, :]).reshape(-1, self.n)
-        return canonicalize(Expr._draft(coeffs, exps, self.n))
+        return canonicalize(Expr(coeffs, exps, self.n))
 
     __rmul__ = __mul__
 
@@ -339,7 +318,7 @@ class Expr:
                 )
             else:
                 coeff = c ** power
-            return canonicalize(Expr._draft(np.array([coeff]), exps, self.n))
+            return canonicalize(Expr(np.array([coeff]), exps, self.n))
         raise UnsupportedError(
             "fractional powers are only defined for single-term power products"
         )
@@ -434,8 +413,9 @@ def _merge_arrays(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray
 def canonicalize(e: Expr) -> Expr:
     """Merge like terms, drop negligible ones, sort; idempotent.
 
-    Raises ``ValueError`` as :class:`PowerTerm` does when a coefficient or
-    exponent, or a merged coefficient, is not finite.
+    Raises ``ValueError`` ("term coefficient must be finite" or "term
+    exponent must be finite") when a coefficient or exponent, or a merged
+    coefficient, is not finite.
     """
     if e._canonical:
         return e
@@ -445,7 +425,7 @@ def canonicalize(e: Expr) -> Expr:
     else:
         merge = _merge_loop if m <= _SMALL_MERGE else _merge_arrays
     coeffs, exps = merge(e.coeffs, e.exponents)
-    return Expr._of(coeffs, exps, e.n, canonical=True)
+    return Expr(coeffs, exps, e.n, canonical=True)
 
 
 def is_zero(e: Expr) -> bool:
@@ -506,11 +486,6 @@ def _number(text: str) -> float:
     return -float(text[1:]) if text[0] == "-" else float(text.lstrip("+"))
 
 
-def _expr_of(coeffs: list, rows: list, n: int) -> Expr:
-    return canonicalize(Expr._draft(np.array(coeffs, dtype=np.float64),
-                                    np.array(rows, dtype=np.float64).reshape(len(rows), n), n))
-
-
 def scan_terms(text: str, index: Callable[[str], int], n: int,
                differential: Callable[[int, float], object] | None = None
                ) -> tuple[list[float], list[list[float]], list[list]]:
@@ -564,7 +539,7 @@ def scan_terms(text: str, index: Callable[[str], int], n: int,
             what = "a coordinate" if text[j] == "*" else "a number"
             raise ParseError(f"expected {what} after {text[j]!r}", j)
         if differential is None:  # an overflow in the terms read outranks trailing input
-            _expr_of(coeffs, rows, n)
+            Expr.make(zip(coeffs, rows), n)
         raise ParseError(f"trailing input {text[j:]!r}", j)
     except (ParseError, ValueError):
         for tok in re.finditer(_TOKEN, text):
@@ -575,7 +550,7 @@ def scan_terms(text: str, index: Callable[[str], int], n: int,
 
 def parse_expr(text: str, ctx: Context) -> Expr:
     coeffs, rows, _ = scan_terms(text, ctx.index, ctx.n)
-    return _expr_of(coeffs, rows, ctx.n)
+    return Expr.make(zip(coeffs, rows), ctx.n)
 
 
 def term_text(coeff: float, exps: Sequence[float], ctx: Context, digits: int | None = None,
@@ -667,7 +642,7 @@ def classical_derivative(e: Expr, coord: int, order: int = 1) -> Expr:
             coeffs = coeffs * f
     exps = e.exponents[alive]
     exps[:, coord] = p[alive] - order
-    return canonicalize(Expr._draft(coeffs[alive], exps, e.n))
+    return canonicalize(Expr(coeffs[alive], exps, e.n))
 
 
 def restrict_at_initial(e: Expr, coord: int, ctx: Context) -> Expr:
@@ -686,14 +661,14 @@ def restrict_at_initial(e: Expr, coord: int, ctx: Context) -> Expr:
         )
     exps = e.exponents[zero]
     exps[:, coord] = 0.0
-    return canonicalize(Expr._draft(e.coeffs[zero], exps, e.n))
+    return canonicalize(Expr(e.coeffs[zero], exps, e.n))
 
 
 def shift_exponent(e: Expr, coord: int, delta: float) -> Expr:
     """Multiply by (x_coord - a_coord)^delta (exponent shift on every term)."""
     exps = e.exponents.copy()
     exps[:, coord] += delta
-    return canonicalize(Expr._draft(e.coeffs, exps, e.n))
+    return canonicalize(Expr(e.coeffs, exps, e.n))
 
 
 def degree_in(e: Expr, coord: int) -> float:

@@ -54,7 +54,7 @@ XY = Context.of(("x", "y"))
 
 
 def _max_coeff(e):
-    return max((abs(t.coeff) for t in e.terms), default=0.0)
+    return max((abs(c) for c in e.coeffs.tolist()), default=0.0)
 
 
 def _random_poly(rng, ctx, max_terms=3):
@@ -100,10 +100,10 @@ def test_03_graded_derivative_of_square_across_orders():
     cx = got.coefficient(WedgeWord((DiffFactor(0, 0.5),)), 2)
     cy = got.coefficient(WedgeWord((DiffFactor(1, 0.5),)), 2)
     assert len(got.terms) == 2
-    assert cx.terms[0].exponents == (1.5, 0.0)
-    assert cx.terms[0].coeff == pytest.approx(1.5045055561273501, rel=1e-13)
-    assert cy.terms[0].exponents == (2.0, -0.5)
-    assert cy.terms[0].coeff == pytest.approx(0.5641895835477563, rel=1e-13)
+    assert cx.exponents.tolist() == [[1.5, 0.0]]
+    assert cx.coeffs[0] == pytest.approx(1.5045055561273501, rel=1e-13)
+    assert cy.exponents.tolist() == [[2.0, -0.5]]
+    assert cy.coeffs[0] == pytest.approx(0.5641895835477563, rel=1e-13)
     # whole orders collapse to exact canonical strings
     assert print_form(frac_exterior_deriv(f, 0.0, XY), XY) == "2*x^2"
     assert print_form(frac_exterior_deriv(f, 1.0, XY), XY) == "2*x d(x,1)"
@@ -126,10 +126,10 @@ def test_05_composition_correction_and_plain_chain_failure():
     # derivative of x^-0.5 returns zero, not the original function
     e = monomial(X, 1.0, {"x": -0.5})
     inner = rl_deriv(e, "x", 0.5, X)
-    assert inner.terms == ()
+    assert len(inner.coeffs) == 0
     back = rl_integ(inner, "x", 0.5, X)
-    assert back.terms == ()
-    assert e.terms != ()
+    assert len(back.coeffs) == 0
+    assert len(e.coeffs) != 0
 
 
 def test_06_kernel_basis_is_annihilated():

@@ -52,7 +52,7 @@ def test_kernel_1d_whole_order():
 
 def test_kernel_1d_between_one_and_two():
     basis = kernel_basis_1d(1.5, "x", X1)
-    assert [t.exponents[0] for b in basis for t in b.terms] == [-0.5, 0.5]
+    assert [p for b in basis for p in b.exponents[:, 0].tolist()] == [-0.5, 0.5]
 
 
 def test_kernel_dv_two_coordinates():
@@ -80,7 +80,7 @@ def test_kernel_dv_single_coordinate_matches_1d():
 @pytest.mark.parametrize("ctx", [X1, XY, XYZ], ids=["n1", "n2", "n3"])
 def test_kernel_elements_are_annihilated(nu, ctx):
     for elem in kernel_basis_1d(nu, 0, ctx):
-        assert rl_deriv(elem, 0, nu, ctx).terms == ()
+        assert len(rl_deriv(elem, 0, nu, ctx).coeffs) == 0
     for elem in kernel_basis_dv(nu, ctx):
         image = frac_exterior_deriv(elem, nu, ctx)
         assert image.is_zero
@@ -283,7 +283,7 @@ def test_residual_vanishes_on_exact_fractional_forms():
     f = parse_expr("x1^2*x2 + x2^2", XY)
     alpha = frac_exterior_deriv(f, 0.5, XY)
     for i, j in ((0, 1), (1, 0)):
-        assert integrability_residual(alpha, i, j, XY).terms == ()
+        assert len(integrability_residual(alpha, i, j, XY).coeffs) == 0
 
 
 def test_residual_detects_non_integrable_fractional_form():

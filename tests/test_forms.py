@@ -132,6 +132,20 @@ def test_forms_close_tolerance():
     assert not forms_close(a, b, tol=1e-15)
 
 
+def test_forms_close_word_on_one_side_only():
+    # the d(x2, 0.5) word carries a coefficient in a and is absent from b
+    a = one_form("x1", "1e-10*x2 + 3e-11*x1*x2")
+    b = one_form("x1", None)
+    for lhs, rhs in ((a, b), (b, a)):
+        assert not forms_close(lhs, rhs, tol=5e-11)  # 1e-10 is above tol
+        assert forms_close(lhs, rhs, tol=1e-10)      # every coefficient at or below tol
+    # every word is on one side only and below tol, but the grades differ
+    small = one_form(None, "1e-10*x2")
+    assert forms_close(small, Form.zero(1, 0.5), tol=1e-9)
+    assert not forms_close(small, Form.zero(0, 0.0), tol=1e-9)
+    assert not forms_close(Form.zero(0, 0.0), small, tol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # wedge product
 

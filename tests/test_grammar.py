@@ -1,9 +1,11 @@
 """The text grammar: the term scanner against the recursive-descent parser it
 replaced, parse_form against parse_expr, and coordinate inference."""
 
+import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,6 @@ from fracforms import (
     Expr,
     Form,
     ParseError,
-    PowerTerm,
     UnknownCoordinateError,
     WedgeWord,
     canonical_word,
@@ -191,6 +192,23 @@ def _ref_looks_like_diff(p):
     return nxt[0] == "op" and nxt[1] == "("
 
 
+def _term(c, exps):
+    """One term as a (coefficient, exponent tuple) pair of floats; a value
+    that is not finite raises where the parent's term objects raised."""
+    c, exps = float(c), tuple(float(p) for p in exps)
+    if not math.isfinite(c):
+        raise ValueError("term coefficient must be finite")
+    if not all(map(math.isfinite, exps)):
+        raise ValueError("term exponent must be finite")
+    return c, exps
+
+
+def _expr(terms, n):
+    """The (c, exps) pairs ``terms`` as an expression, uncanonicalized."""
+    return Expr(np.array([c for c, _ in terms], dtype=np.float64),
+                np.array([p for _, p in terms], dtype=np.float64).reshape(len(terms), n), n)
+
+
 def ref_parse_form(text, ctx, per_word=False):
     """The parent's parse_form.  It canonicalized the running sum of a word
     after every term, so a partial sum under 1e-12 was dropped; ``per_word``
@@ -227,14 +245,14 @@ def ref_parse_form(text, ctx, per_word=False):
         elif abs(word.order_sum - total_order) > EXP_TOL * max(1, grade):
             raise ParseError("every term of a form must carry the same total order")
         c, exps = coeff_term
-        term = PowerTerm(c * wsign, exps)
+        term = _term(c * wsign, exps)
         if per_word:  # changed: collect, sum once below
             accum.setdefault(word, []).append(term)
             continue
-        coeff = Expr((term,), ctx.n)
+        coeff = _expr([term], ctx.n)
         accum[word] = accum[word] + coeff if word in accum else canonicalize(coeff)
     if per_word:
-        accum = {w: canonicalize(Expr(ts, ctx.n)) for w, ts in accum.items()}
+        accum = {w: canonicalize(_expr(ts, ctx.n)) for w, ts in accum.items()}
     if total_order is None:
         total_order = 0.0
         if grade:

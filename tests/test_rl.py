@@ -61,7 +61,7 @@ def test_half_integral_of_x():
 
 def test_annihilation_of_x_to_minus_half():
     got = rl_deriv(parse_expr("x^-0.5", X), "x", 0.5, X)
-    assert got.terms == ()
+    assert len(got.coeffs) == 0
 
 
 def test_annihilation_family():
@@ -70,7 +70,7 @@ def test_annihilation_family():
         e = monomial(X, 2.0, {0: 1.7 - k})
         if 1.7 - k <= -1.0:
             continue
-        assert rl_deriv(e, "x", 1.7, X).terms == ()
+        assert len(rl_deriv(e, "x", 1.7, X).coeffs) == 0
 
 
 def test_order_zero_is_identity():
@@ -87,7 +87,7 @@ def test_domain_boundary_rejected():
 
 def test_exponent_just_inside_domain_accepted():
     e = monomial(X, 1.0, {0: -0.999})
-    assert len(rl_deriv(e, "x", 0.5, X).terms) == 1
+    assert len(rl_deriv(e, "x", 0.5, X).coeffs) == 1
 
 
 def test_integral_order_must_be_positive():
@@ -168,24 +168,24 @@ def test_integral_semigroup(e, p, q):
 
 def test_compose_residual_smooth_case_is_zero():
     e = parse_expr("x^2 + 3*x^4", X)
-    assert compose_residual(e, "x", 0.7, 0.5, X).terms == ()
+    assert len(compose_residual(e, "x", 0.7, 0.5, X).coeffs) == 0
 
 
 def test_compose_residual_constant_is_zero():
-    assert compose_residual(parse_expr("1", X), "x", 0.5, 0.5, X).terms == ()
+    assert len(compose_residual(parse_expr("1", X), "x", 0.5, 0.5, X).coeffs) == 0
 
 
 def test_compose_residual_annihilated_case_still_zero():
     # naive composition loses x^-0.5 entirely; the boundary term restores it
     e = parse_expr("x^-0.5", X)
-    assert compose_residual(e, "x", 0.5, 0.5, X).terms == ()
+    assert len(compose_residual(e, "x", 0.5, 0.5, X).coeffs) == 0
 
 
 def test_naive_composition_fails_where_residual_explains():
     # D^(-0.5) D^(0.5) x^(-0.5) = 0, which is not the original function
     e = parse_expr("x^-0.5", X)
     back = rl_integ(rl_deriv(e, "x", 0.5, X), "x", 0.5, X)
-    assert back.terms == ()
+    assert len(back.coeffs) == 0
     assert not exprs_close(back, e)
 
 
