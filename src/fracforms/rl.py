@@ -33,6 +33,7 @@ from .symbolic import (
     is_polynomial_in,
     is_zero,
     restrict_at_initial,
+    shift_column,
     shift_exponent,
 )
 
@@ -63,13 +64,14 @@ def power_rule_map(e: Expr, coord: int, q: float, ctx: Context,
     """
     coord = ctx.index(coord)
     p = e.exponents[:, coord]
-    ps = p.tolist()
-    for v in ps:
-        if v <= -1.0 + POLE_TOL:
-            raise ExponentDomainError(
-                f"exponent {v} on {ctx.names[coord]} is outside "
-                f"the operator domain (needs p > -1)"
-            )
+    # the distinct exponents, ascending; 0.0 and -0.0 count as one (same factor)
+    values = sorted(set(p.tolist()))
+    if values and values[0] <= -1.0 + POLE_TOL:
+        first = next(v for v in p.tolist() if v <= -1.0 + POLE_TOL)
+        raise ExponentDomainError(
+            f"exponent {first} on {ctx.names[coord]} is outside "
+            f"the operator domain (needs p > -1)"
+        )
     k = snap_int(q)
     if k is not None and not extra_denominators:
         def factor(x):
@@ -77,17 +79,14 @@ def power_rule_map(e: Expr, coord: int, q: float, ctx: Context,
     else:
         def factor(x):
             return gamma_ratio((x + 1.0,), (x - q + 1.0, *extra_denominators))
-    # one scalar evaluation per distinct exponent (0.0 and -0.0 give the same factor)
-    by_p = {v: factor(v) for v in set(ps)}
-    factors = np.array([by_p[v] for v in ps], dtype=np.float64)
-    coeffs, exps = e.coeffs, e.exponents
-    if 0.0 in by_p.values():  # reciprocal-gamma zeros annihilate those terms
-        live = factors != 0.0
-        coeffs, exps, p, factors = coeffs[live], exps[live], p[live], factors[live]
-    else:
-        exps = exps.copy()
-    exps[:, coord] = p - q
-    return canonicalize(Expr(coeffs * factors, exps, e.n))
+    table = [factor(v) for v in values]
+    factors = np.array(table)[np.array(values).searchsorted(p)]
+    coeffs = e.coeffs
+    if 0.0 in table:  # reciprocal-gamma zeros annihilate those terms
+        keep = factors != 0.0
+        e, coeffs, factors = e.take(keep), coeffs[keep], factors[keep]
+        values = [v for v, f in zip(values, table) if f != 0.0]
+    return shift_column(e, coord, -q, coeffs * factors, values)
 
 
 def rl_deriv(e: Expr, coord: int | str, q: float, ctx: Context) -> Expr:

@@ -42,6 +42,12 @@ key.  The result does not depend on how the merge is carried out: the
 vectorized merge used for larger expressions and the loop used for small ones
 give the same doubles.  A canonical expression carries a mark, so
 canonicalizing it again returns the same object.
+
+Shifting one exponent column of a canonical expression of two or more terms,
+as the power rule and the classical derivative do, runs no merge when the
+shift keeps every key comparison in that column, snaps no exponent and drops
+no coefficient (:func:`shift_column`): the shifted arrays are then already
+what canonicalization would return, and are marked canonical as they are.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ COEFF_DROP = 1e-12  # coefficients strictly below this are dropped
 # Xeon with numpy 2.4 the loop is faster up to 12 terms and the vectorized
 # merge from about 14, and chart algebra lives on 1-3 term expressions.
 _SMALL_MERGE = 12
+_F64 = np.dtype(np.float64)
 
 
 def fmt_number(x: float, digits: int | None = None) -> str:
@@ -174,16 +181,24 @@ class Expr:
 
     ``Expr(coeffs, exponents, n)`` wraps float64 arrays as they are and makes
     them read-only; the caller must not write to the memory they view
-    afterwards.  It checks nothing and leaves the result uncanonicalized
-    unless ``canonical`` says the arrays already are; :meth:`make`,
-    :meth:`constant` and :meth:`zero` build canonical expressions from
-    values.
+    afterwards.  It checks their type and shapes (``TypeError`` unless both
+    are float64 numpy arrays, ``ValueError`` unless ``coeffs`` is 1-D and
+    ``exponents`` has shape (len(coeffs), n)), but not their values, and
+    leaves the result uncanonicalized unless ``canonical`` says the arrays
+    already are; :meth:`make`, :meth:`constant` and :meth:`zero` build
+    canonical expressions from values.
     """
 
     __slots__ = ("coeffs", "exponents", "n", "_canonical")
 
     def __init__(self, coeffs: np.ndarray, exponents: np.ndarray, n: int,
                  canonical: bool = False):
+        if not (isinstance(coeffs, np.ndarray) and isinstance(exponents, np.ndarray)
+                and coeffs.dtype == _F64 and exponents.dtype == _F64):
+            raise TypeError("Expr takes float64 numpy arrays")
+        if coeffs.ndim != 1 or exponents.shape != (len(coeffs), n):
+            raise ValueError(f"Expr needs coefficients of shape (m,) and exponents of shape "
+                             f"(m, {n}), got {coeffs.shape} and {exponents.shape}")
         coeffs.setflags(write=False)
         exponents.setflags(write=False)
         self.coeffs = coeffs
@@ -504,6 +519,9 @@ def scan_terms(text: str, index: Callable[[str], int], n: int,
     """
     term_re = _EXPR_TERM if differential is None else _FORM_TERM
     coeffs, rows, diffs = [], [], []
+    # names and exponent texts repeat across terms: look each up once
+    cols: dict[str, int] = {}
+    powers = {"": 1.0}
     pos, sign = 0, 1.0
     try:
         while True:
@@ -514,7 +532,13 @@ def scan_terms(text: str, index: Callable[[str], int], n: int,
             row = [0.0] * n
             factors = _FACTOR_RE.findall(m.group("facs") or m.group("lead") or "")
             for name, p in factors:
-                row[index(name)] += _number(p) if p else 1.0
+                i = cols.get(name)
+                if i is None:  # an unknown name raises here, at its first use
+                    i = cols[name] = index(name)
+                v = powers.get(p)
+                if v is None:
+                    v = powers[p] = _number(p)
+                row[i] += v
             coeffs.append(sign * _number(coef) if coef else sign)
             rows.append(row)
             diffs.append([differential(index(name), _number(order))
@@ -640,9 +664,9 @@ def classical_derivative(e: Expr, coord: int, order: int = 1) -> Expr:
             f = p - step
             alive &= ~(np.abs(f) <= EXP_TOL)
             coeffs = coeffs * f
-    exps = e.exponents[alive]
-    exps[:, coord] = p[alive] - order
-    return canonicalize(Expr(coeffs[alive], exps, e.n))
+    if not alive.all():
+        e, coeffs = e.take(alive), coeffs[alive]
+    return shift_column(e, coord, -float(order), coeffs)
 
 
 def restrict_at_initial(e: Expr, coord: int, ctx: Context) -> Expr:
@@ -666,9 +690,56 @@ def restrict_at_initial(e: Expr, coord: int, ctx: Context) -> Expr:
 
 def shift_exponent(e: Expr, coord: int, delta: float) -> Expr:
     """Multiply by (x_coord - a_coord)^delta (exponent shift on every term)."""
+    return shift_column(e, coord, delta, e.coeffs)
+
+
+def shift_column(e: Expr, coord: int, delta: float, coeffs: np.ndarray,
+                 values: list[float] | None = None) -> Expr:
+    """``e`` with ``delta`` added to every exponent in column ``coord`` and
+    the coefficients replaced by ``coeffs``, canonicalized.
+
+    ``values``, when given, are the distinct exponents of that column in
+    ascending order, from a caller that already has them.  When ``e`` is
+    canonical, the shifted arrays are canonical as they are, and no merge
+    runs, if every new coefficient is finite and not below ``COEFF_DROP`` in
+    magnitude and :func:`_shift_keeps_keys` holds for the column.  A single
+    term is merged, which costs less than the check.
+    """
     exps = e.exponents.copy()
     exps[:, coord] += delta
-    return canonicalize(Expr(e.coeffs, exps, e.n))
+    if e._canonical and len(coeffs) > 1:
+        mags = np.abs(coeffs)
+        if mags.min() >= COEFF_DROP and mags.max() < math.inf:
+            if values is None:
+                values = sorted(set(e.exponents[:, coord].tolist()))
+            if _shift_keeps_keys(values, delta):
+                return Expr(coeffs, exps, e.n, canonical=True)
+    return canonicalize(Expr(coeffs, exps, e.n))
+
+
+def _shift_keeps_keys(values: list[float], delta: float) -> bool:
+    """Does adding ``delta`` to the distinct ascending exponents ``values``
+    keep them finite, snap none of them, and keep every equality and every
+    strict inequality between the keys ``round(p, 9)`` of neighbouring values?
+
+    Keys are monotone in p, so neighbours suffice.  Then the rows of a
+    canonical expression keep distinct keys in the same lexicographic order
+    after the shift, and the merge would return them unchanged.
+    """
+    delta = float(delta)  # Python floats, so round is Python's round
+    new = [p + delta for p in values]
+    if not math.isfinite(sum(new)):  # also when only the sum overflows
+        return False
+    if any(0.0 < abs(p) <= EXP_TOL for p in new):  # would snap to 0
+        return False
+    old_keys = [round(p, 9) for p in values]
+    new_keys = [round(p, 9) for p in new]
+    for a, b, c, d in zip(old_keys, old_keys[1:], new_keys, new_keys[1:]):
+        if a != b and c == d:  # two keys would merge into one
+            return False
+        if a == b and c != d:  # one key would split, reordering its rows
+            return False
+    return True
 
 
 def degree_in(e: Expr, coord: int) -> float:

@@ -1,5 +1,6 @@
 """Power-product expressions: canonical form, parse/print, eval, derivative."""
 
+import itertools
 import math
 import pickle
 
@@ -23,7 +24,7 @@ from fracforms import (
     print_expr,
 )
 from fracforms import symbolic
-from fracforms.rl import _whole_order_factor, power_rule_map
+from fracforms.rl import _whole_order_factor, power_rule_map, rl_deriv
 from fracforms.specialfn import gamma_ratio, snap_int
 from fracforms.symbolic import COEFF_DROP, EXP_TOL
 
@@ -215,6 +216,15 @@ def test_product_bit_identical_to_double_loop(a_terms, b_terms):
 
 @given(term_lists(max_size=30), st.sampled_from([0.5, 1.0, 2.0, -1.0, 0.3, -0.5, 1.0 + 4e-10]),
        st.sampled_from([(), (1.5,), (2.0, 0.7)]), st.integers(min_value=0, max_value=1))
+# shifts after which the arrays are no longer canonical:
+@example([_term(1.0, (1.5 + 1e-10, 0.0)), _term(2.0, (1.5 + 6e-10, 0.0))],
+         1.0 + 4e-10, (), 0)  # two keys tie, so the terms merge
+@example([_term(1.0, (0.5 + 4e-10, 1.0)), _term(2.0, (0.5 - 4e-10, 2.0))],
+         0.3 + 5e-10, (), 0)  # one key splits, so the terms swap
+@example([_term(1.0, (1.0, 0.5 + 4e-10)), _term(1.0, (1.0, 1.5))],
+         0.5, (), 1)  # p - q snaps to 0
+@example([_term(2e-12, (2.0, 0.0)), _term(1.0, (1.0, 0.0))],
+         -1.0, (), 0)  # a coefficient drops
 @settings(max_examples=150, deadline=None)
 def test_power_rule_map_bit_identical_to_term_loop(terms, q, extra, coord):
     # keep the operator's domain p > -1 on the differentiated coordinate
@@ -223,6 +233,92 @@ def test_power_rule_map_bit_identical_to_term_loop(terms, q, extra, coord):
     got = power_rule_map(e, coord, q, XY, extra_denominators=extra)
     assert _arr_bits(got.coeffs, got.exponents) == _bits(_ref_power_rule(_terms(e), 2, coord, q,
                                                                          extra))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_power_rule_map_overflowing_coefficient_raises():
+    e = Expr.make([(1e308, (3.0,)), (1.0, (2.0,))], 1)
+    with pytest.raises(ValueError, match="term coefficient must be finite"):
+        power_rule_map(e, 0, 2.0, X)
+
+
+def _ref_shift(terms, n, coord, delta):
+    out = []
+    for c, t_exps in terms:
+        exps = list(t_exps)
+        exps[coord] += delta
+        out.append(_term(c, exps))
+    return _ref_canonicalize(out, n)
+
+
+def _ref_classical_derivative(terms, n, coord, order):
+    out = []
+    for c, t_exps in terms:
+        p = t_exps[coord]
+        if any(abs(p - step) <= EXP_TOL for step in range(order)):
+            continue
+        for step in range(order):
+            c *= p - step
+        exps = list(t_exps)
+        exps[coord] = p - order
+        out.append(_term(c, exps))
+    return _ref_canonicalize(out, n)
+
+
+def _outcome(f, *args):
+    """The bits of the terms ``f`` returns, or the message of its ValueError."""
+    try:
+        got = f(*args)
+    except ValueError as exc:
+        return str(exc)
+    return _arr_bits(got.coeffs, got.exponents) if isinstance(got, Expr) else _bits(got)
+
+
+@given(term_lists(max_size=30),
+       st.sampled_from([0.5, -1.0, 0.3, 2.0, -0.5 - 4e-10, 1e-10, -5e-10, 6e-10, 0.0]),
+       st.integers(min_value=0, max_value=1))
+@example([_term(1.0, (0.5 + 1e-10, 0.0)), _term(2.0, (0.5 + 6e-10, 0.0))], -4e-10, 0)  # tie
+@example([_term(1.0, (0.5 + 4e-10, 1.0)), _term(2.0, (0.5 - 4e-10, 2.0))], -5e-10, 0)  # split
+@example([_term(1.0, (0.5 + 4e-10, 1.0)), _term(1.0, (2.0, 1.0))], -0.5, 0)  # snap
+@example([_term(1.0, (1e308, 0.0)), _term(1.0, (2.0, 0.0))], 1e308, 0)  # exponent overflow
+@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_shift_exponent_bit_identical_to_term_loop(terms, delta, coord):
+    e = canonicalize(_expr(terms, 2))
+    assert (_outcome(symbolic.shift_exponent, e, coord, delta)
+            == _outcome(_ref_shift, _terms(e), 2, coord, delta))
+
+
+@given(term_lists(max_size=30), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=1))
+@example([_term(1.0, (1.0 + 4e-10, 0.5)), _term(1.0, (3.0, 0.5))], 1, 0)  # snap
+@example([_term(2e-12, (0.25, 0.0)), _term(1.0, (2.0, 0.0))], 1, 0)  # drop
+@example([_term(1e308, (3.0, 0.0)), _term(1.0, (2.0, 0.0))], 1, 0)  # coefficient overflow
+@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_classical_derivative_bit_identical_to_term_loop(terms, order, coord):
+    e = canonicalize(_expr(terms, 2))
+    assert (_outcome(classical_derivative, e, coord, order)
+            == _outcome(_ref_classical_derivative, _terms(e), 2, coord, order))
+
+
+def test_rl_deriv_of_a_canonical_expression_runs_no_merge(monkeypatch):
+    ctx = Context.of(("x", "y", "z"))
+    grid = (0.25, 0.5, 1.0, 1.75, 2.5, 3.0)
+    e = Expr.make([(1.0 + i / 7.0, exps)
+                   for i, exps in enumerate(itertools.product(grid, repeat=3))], 3)
+    assert len(e.coeffs) == 216
+    cases = [(coord, q) for coord in range(3) for q in (0.5, 1.0, 2.0, -0.5)]
+    want = [_bits(_ref_power_rule(_terms(e), 3, coord, q)) for coord, q in cases]
+
+    def merge(coeffs, exponents):
+        raise AssertionError("the power rule merged a shifted canonical expression")
+
+    monkeypatch.setattr(symbolic, "_merge_arrays", merge)
+    monkeypatch.setattr(symbolic, "_merge_loop", merge)
+    for (coord, q), bits in zip(cases, want):
+        got = rl_deriv(e, coord, q, ctx)
+        assert _arr_bits(got.coeffs, got.exponents) == bits
 
 
 @given(term_lists())
@@ -240,6 +336,19 @@ def test_canonicalize_overflowing_merge_raises():
         canonicalize(e)
     with pytest.raises(ValueError, match="coefficient must be finite"):
         monomial(X, 1e200, {0: 1.0}) * monomial(X, 1e200, {0: 1.0})
+
+
+def test_expr_constructor_checks_array_types_and_shapes():
+    with pytest.raises(TypeError):
+        Expr([1.0], [[0.0]], 1)
+    with pytest.raises(TypeError):
+        Expr(np.array([1]), np.array([[0.0]]), 1)
+    with pytest.raises(ValueError):
+        Expr(np.array([2.0]), np.array([[1.0, 3.0]]), 1)
+    with pytest.raises(ValueError):
+        Expr(np.array([2.0, 1.0]), np.array([[1.0]]), 1)
+    with pytest.raises(ValueError):
+        Expr(np.array([[2.0]]), np.array([[1.0]]), 1)
 
 
 def test_terms_view_matches_arrays():
