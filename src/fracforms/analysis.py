@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -125,10 +126,14 @@ def integrability_residual(alpha: Form, i: int, j: int, ctx: Context) -> Expr:
     _require_origin(ctx, "integrability_residual")
     comps = _components(alpha, ctx)
     nu = alpha.total_order
-    m = whole_ceil(nu)
     inner = comps[j] - rl_deriv(rl_integ(comps[i], i, nu, ctx), j, nu, ctx)
-    shifted = shift_exponent(inner, i, -(nu - m))
-    return classical_derivative(shifted, i, m)
+    return _obstruction(inner, i, nu)
+
+
+def _obstruction(inner: Expr, i: int, nu: float) -> Expr:
+    """d^m/dx_i^m [ inner / x_i^(nu-m) ], m the ceiling whole order of nu."""
+    m = whole_ceil(nu)
+    return classical_derivative(shift_exponent(inner, i, -(nu - m)), i, m)
 
 
 @dataclass(frozen=True)
@@ -153,15 +158,22 @@ class ExactnessResult:
         return self.status == "exact"
 
 
-def _reconstruct(comps: list[Expr], coords: list[int], nu: float, ctx: Context) -> Expr | None:
-    """Recursive candidate potential; None when a division leaves a remainder."""
+def _reconstruct(comps: list[Expr], coords: list[int], nu: float, ctx: Context,
+                 f0: Expr | None = None, nums: Iterable[Expr] = ()) -> Expr | None:
+    """Recursive candidate potential; None when a division leaves a remainder.
+
+    ``f0`` and ``nums``, when given, are D_i0^(-nu) comps[i0] and, for each
+    later coordinate j in turn, comps[j] - D_j^nu f0, already computed;
+    otherwise each is computed as it is needed.
+    """
     i0 = coords[0]
-    f0 = rl_integ(comps[i0], i0, nu, ctx)
+    if f0 is None:
+        f0 = rl_integ(comps[i0], i0, nu, ctx)
+        nums = (comps[j] - rl_deriv(f0, j, nu, ctx) for j in coords[1:])
     if len(coords) == 1:
         return f0
     beta = list(comps)
-    for j in coords[1:]:
-        num = comps[j] - rl_deriv(f0, j, nu, ctx)
+    for j, num in zip(coords[1:], nums):
         shifted = canonicalize(shift_exponent(num, i0, -(nu - 1.0)))
         free = np.abs(shifted.exponents[:, i0]) <= EXP_TOL
         # the shifted residue must be free of x_i0, else no separable c_0 exists
@@ -177,6 +189,12 @@ def _reconstruct(comps: list[Expr], coords: list[int], nu: float, ctx: Context) 
 def solve_exact(alpha: Form, nu: float, ctx: Context) -> ExactnessResult:
     """Reconstruct f with d^nu f = alpha for a grade-1 form, 0 < nu <= 1.
 
+    The integrability residual of every ordered pair (i, j) is checked first,
+    in order, and the first one above ``RESIDUAL_TOL`` is reported.  Each
+    D_i^(-nu) alpha_i is computed once for all its pairs, and the partials
+    of the i = 0 pairs, D_0^(-nu) alpha_0 and alpha_j - D_j^nu D_0^(-nu)
+    alpha_0, feed the reconstruction when nu is the form's own order.
+
     The candidate is f = D_1^(-nu) alpha_1 + c_0 * x_1^(nu-1) with c_0 an
     expression in the remaining coordinates, solved recursively; the result
     is round-trip verified before being reported exact.  Reconstruction for
@@ -191,20 +209,28 @@ def solve_exact(alpha: Form, nu: float, ctx: Context) -> ExactnessResult:
                                reason=f"reconstruction is limited to 0 < nu <= 1, got {nu}")
     if nu <= EXP_TOL:
         return ExactnessResult("unsupported", reason="order must be positive")
-    if abs(alpha.total_order - nu) > EXP_TOL:
+    order = alpha.total_order
+    if abs(order - nu) > EXP_TOL:
         raise ValueError(
-            f"form order {alpha.total_order} does not match requested order {nu}")
+            f"form order {order} does not match requested order {nu}")
     comps = _components(alpha, ctx)
 
-    for i in range(ctx.n):
+    top = ()
+    for i in range(ctx.n if ctx.n > 1 else 0):  # one coordinate has no pairs
+        f_i = rl_integ(comps[i], i, order, ctx)
+        nums = []
         for j in range(ctx.n):
             if i == j:
                 continue
-            res = integrability_residual(alpha, i, j, ctx)
+            num = comps[j] - rl_deriv(f_i, j, order, ctx)
+            nums.append(num)
+            res = _obstruction(num, i, order)
             if max_abs_coeff(res) > RESIDUAL_TOL:
                 return ExactnessResult("not_integrable", residual=res, i=i, j=j)
+        if i == 0 and nu == order:
+            top = (f_i, nums)
 
-    f = _reconstruct(comps, list(range(ctx.n)), nu, ctx)
+    f = _reconstruct(comps, list(range(ctx.n)), nu, ctx, *top)
     if f is None:
         raise VerificationError(
             "integrability residuals vanish but reconstruction failed; "

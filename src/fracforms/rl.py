@@ -80,7 +80,9 @@ def power_rule_map(e: Expr, coord: int, q: float, ctx: Context,
         def factor(x):
             return gamma_ratio((x + 1.0,), (x - q + 1.0, *extra_denominators))
     table = [factor(v) for v in values]
-    factors = np.array(table)[np.array(values).searchsorted(p)]
+    # each row's factor; with one distinct exponent every row takes table[0]
+    factors = (np.array(table * len(p)) if len(table) == 1
+               else np.array(table)[np.array(values).searchsorted(p)])
     coeffs = e.coeffs
     if 0.0 in table:  # reciprocal-gamma zeros annihilate those terms
         keep = factors != 0.0

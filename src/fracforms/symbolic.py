@@ -41,7 +41,10 @@ is, per coordinate, the last one in input order among those closest to the
 key.  The result does not depend on how the merge is carried out: the
 vectorized merge used for larger expressions and the loop used for small ones
 give the same doubles.  A canonical expression carries a mark, so
-canonicalizing it again returns the same object.
+canonicalizing it again returns the same object.  The sum of two canonical
+expressions with more than ``_SMALL_MERGE`` terms between them merges their
+two sorted runs (:func:`_merge_runs`), where a key holds at most two terms,
+one from each side, and gets the same doubles again.
 
 Shifting one exponent column of a canonical expression of two or more terms,
 as the power rule and the classical derivative do, runs no merge when the
@@ -52,6 +55,7 @@ what canonicalization would return, and are marked canonical as they are.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import namedtuple
@@ -254,7 +258,7 @@ class Expr:
                             dtype=np.float64).reshape(len(pairs), n)
         except ValueError:
             raise ValueError("exponent vector length must match the context") from None
-        return canonicalize(cls(coeffs, exps, n))
+        return _merged(coeffs, exps, n)
 
     def take(self, keep: np.ndarray) -> "Expr":
         """The terms where the boolean mask ``keep`` is true, in order; a
@@ -275,9 +279,11 @@ class Expr:
             return canonicalize(self)
         if not len(self.coeffs):
             return canonicalize(other)
-        return canonicalize(Expr(np.concatenate((self.coeffs, other.coeffs)),
-                                 np.concatenate((self.exponents, other.exponents)),
-                                 self.n))
+        coeffs = np.concatenate((self.coeffs, other.coeffs))
+        exps = np.concatenate((self.exponents, other.exponents))
+        if self._canonical and other._canonical and len(coeffs) > _SMALL_MERGE:
+            return Expr(*_merge_runs(coeffs, exps), self.n, canonical=True)
+        return _merged(coeffs, exps, self.n)
 
     __radd__ = __add__
 
@@ -303,14 +309,14 @@ class Expr:
                     raise ValueError("term coefficient must be finite")
                 keep = np.abs(coeffs) >= COEFF_DROP
                 return Expr(coeffs[keep], self.exponents[keep], self.n, True)
-            return canonicalize(Expr(coeffs, self.exponents, self.n))
+            return _merged(coeffs, self.exponents, self.n)
         if not isinstance(other, Expr):
             return NotImplemented
         self._check(other)
         # row-major: every term of self times every term of other, in turn
         coeffs = np.multiply.outer(self.coeffs, other.coeffs).ravel()
         exps = (self.exponents[:, None, :] + other.exponents[None, :, :]).reshape(-1, self.n)
-        return canonicalize(Expr(coeffs, exps, self.n))
+        return _merged(coeffs, exps, self.n)
 
     __rmul__ = __mul__
 
@@ -333,7 +339,7 @@ class Expr:
                 )
             else:
                 coeff = c ** power
-            return canonicalize(Expr(np.array([coeff]), exps, self.n))
+            return _merged(np.array([coeff]), exps, self.n)
         raise UnsupportedError(
             "fractional powers are only defined for single-term power products"
         )
@@ -425,6 +431,36 @@ def _merge_arrays(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray
     return out_c, out_e[keep]
 
 
+def _merge_runs(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical merge of the rows of two canonical expressions, the
+    first one's rows before the second one's: the same doubles, and the same
+    error, as :func:`_merge_arrays` on them.
+
+    Canonical rows are finite and snapped, so neither is checked again, and
+    each expression holds a key at most once.  After the stable sort a group
+    is therefore a row of the first expression followed by a row of the
+    second.  Its coefficient is ``c_a + c_b``, the left fold, and per
+    coordinate it keeps the second row's exponent when that sits at least as
+    close to the key, the last-closest rule.
+    """
+    keys = _round9(exponents)
+    order = np.lexsort(keys.T[::-1])
+    keys, coeffs, exponents = keys[order], coeffs[order], exponents[order]
+    first = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
+    second = first + 1
+    if len(first):
+        with np.errstate(over="ignore"):  # an overflow raises below, as in the general merge
+            coeffs[first] += coeffs[second]
+        k, ea, eb = keys[first], exponents[first], exponents[second]
+        exponents[first] = np.where(np.abs(eb - k) <= np.abs(ea - k), eb, ea)
+    keep = np.abs(coeffs) >= COEFF_DROP
+    keep[second] = False
+    coeffs = coeffs[keep]
+    if not np.isfinite(coeffs).all():
+        raise ValueError("term coefficient must be finite")
+    return coeffs, exponents[keep]
+
+
 def canonicalize(e: Expr) -> Expr:
     """Merge like terms, drop negligible ones, sort; idempotent.
 
@@ -434,13 +470,19 @@ def canonicalize(e: Expr) -> Expr:
     """
     if e._canonical:
         return e
-    m = len(e.coeffs)
+    return _merged(e.coeffs, e.exponents, e.n)
+
+
+def _merged(coeffs: np.ndarray, exponents: np.ndarray, n: int) -> Expr:
+    """The canonical expression of the terms held in two arrays, built as one
+    :class:`Expr` (the arrays are frozen if the merge returns them)."""
+    m = len(coeffs)
     if m == 1:
         merge = _merge_one
     else:
         merge = _merge_loop if m <= _SMALL_MERGE else _merge_arrays
-    coeffs, exps = merge(e.coeffs, e.exponents)
-    return Expr(coeffs, exps, e.n, canonical=True)
+    coeffs, exponents = merge(coeffs, exponents)
+    return Expr(coeffs, exponents, n, canonical=True)
 
 
 def is_zero(e: Expr) -> bool:
@@ -474,7 +516,6 @@ _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _FACTOR = rf"({_NAME})(?:\s*\^\s*({_SIGNED}))?"
 _DIFF = rf"d\s*\(\s*({_NAME})\s*,\s*({_SIGNED})\s*\)"
 _FACTOR_RE = re.compile(_FACTOR)
-_DIFF_RE = re.compile(_DIFF)
 # error path only, compiled on first use: the start of a differential, and
 # one token at a time with group 1 the first character no token starts with
 _DIFF_HEAD = rf"d\s*\(\s*({_NAME})?"
@@ -493,7 +534,13 @@ def _term_re(form: bool) -> re.Pattern:
 
 
 _EXPR_TERM = _term_re(False)
-_FORM_TERM = _term_re(True)
+
+
+@functools.cache
+def _form_patterns() -> tuple[re.Pattern, re.Pattern]:
+    """The form-term and ``d(...)`` patterns, compiled when a form is first
+    read, so a process that reads only expressions never compiles them."""
+    return _term_re(True), re.compile(_DIFF)
 
 
 def _number(text: str) -> float:
@@ -517,7 +564,7 @@ def scan_terms(text: str, index: Callable[[str], int], n: int,
     on an earlier factor.  A character no token starts with is reported
     before anything else.
     """
-    term_re = _EXPR_TERM if differential is None else _FORM_TERM
+    term_re, diff_re = (_EXPR_TERM, None) if differential is None else _form_patterns()
     coeffs, rows, diffs = [], [], []
     # names and exponent texts repeat across terms: look each up once
     cols: dict[str, int] = {}
@@ -542,7 +589,7 @@ def scan_terms(text: str, index: Callable[[str], int], n: int,
             coeffs.append(sign * _number(coef) if coef else sign)
             rows.append(row)
             diffs.append([differential(index(name), _number(order))
-                          for name, order in _DIFF_RE.findall(wedge)] if wedge else [])
+                          for name, order in diff_re.findall(wedge)] if wedge else [])
             if sep is None:
                 if m.end() == len(text):
                     return coeffs, rows, diffs
@@ -685,7 +732,7 @@ def restrict_at_initial(e: Expr, coord: int, ctx: Context) -> Expr:
         )
     exps = e.exponents[zero]
     exps[:, coord] = 0.0
-    return canonicalize(Expr(e.coeffs[zero], exps, e.n))
+    return _merged(e.coeffs[zero], exps, e.n)
 
 
 def shift_exponent(e: Expr, coord: int, delta: float) -> Expr:
@@ -714,7 +761,7 @@ def shift_column(e: Expr, coord: int, delta: float, coeffs: np.ndarray,
                 values = sorted(set(e.exponents[:, coord].tolist()))
             if _shift_keeps_keys(values, delta):
                 return Expr(coeffs, exps, e.n, canonical=True)
-    return canonicalize(Expr(coeffs, exps, e.n))
+    return _merged(coeffs, exps, e.n)
 
 
 def _shift_keeps_keys(values: list[float], delta: float) -> bool:

@@ -1,9 +1,11 @@
 """Closedness, integrability, and potential reconstruction for 1-forms."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracforms import analysis
 from fracforms import (
     Context,
     Form,
@@ -26,8 +28,11 @@ from fracforms import (
     rl_deriv,
     solve_exact,
 )
-from fracforms.analysis import RESIDUAL_TOL, ClosureReport, _components
-from fracforms.symbolic import EXP_TOL, max_abs_coeff
+from fracforms.analysis import RESIDUAL_TOL, ClosureReport, ExactnessResult, _components
+from fracforms.errors import VerificationError
+from fracforms.rl import rl_integ
+from fracforms.specialfn import whole_ceil
+from fracforms.symbolic import EXP_TOL, canonicalize, max_abs_coeff, shift_exponent
 
 X1 = Context.of(("x",))
 XY = Context.of(("x1", "x2"))
@@ -388,3 +393,160 @@ def test_order_mismatch_rejected():
     alpha = one_form(("x2", None), 0.5, XY)
     with pytest.raises(ValueError):
         solve_exact(alpha, 0.75, XY)
+
+
+# reference: solve_exact as it was before its integrability check and its
+# reconstruction shared partials, one integrability_residual per ordered pair,
+# ported unchanged
+
+
+def ref_integrability_residual(alpha, i, j, ctx):
+    comps = _components(alpha, ctx)
+    nu = alpha.total_order
+    m = whole_ceil(nu)
+    inner = comps[j] - rl_deriv(rl_integ(comps[i], i, nu, ctx), j, nu, ctx)
+    shifted = shift_exponent(inner, i, -(nu - m))
+    return classical_derivative(shifted, i, m)
+
+
+def ref_reconstruct(comps, coords, nu, ctx):
+    i0 = coords[0]
+    f0 = rl_integ(comps[i0], i0, nu, ctx)
+    if len(coords) == 1:
+        return f0
+    beta = list(comps)
+    for j in coords[1:]:
+        num = comps[j] - rl_deriv(f0, j, nu, ctx)
+        shifted = canonicalize(shift_exponent(num, i0, -(nu - 1.0)))
+        free = np.abs(shifted.exponents[:, i0]) <= EXP_TOL
+        if (~free & (np.abs(shifted.coeffs) > RESIDUAL_TOL)).any():
+            return None
+        beta[j] = shifted.take(free)
+    c0 = ref_reconstruct(beta, coords[1:], nu, ctx)
+    if c0 is None:
+        return None
+    return f0 + c0 * monomial(ctx, 1.0, {i0: nu - 1.0})
+
+
+def ref_solve_exact(alpha, nu, ctx):
+    nu = float(nu)
+    if not ctx.at_origin():
+        return ExactnessResult("unsupported",
+                               reason="initial points must all be at the origin")
+    if nu > 1.0 + EXP_TOL:
+        return ExactnessResult("unsupported",
+                               reason=f"reconstruction is limited to 0 < nu <= 1, got {nu}")
+    if nu <= EXP_TOL:
+        return ExactnessResult("unsupported", reason="order must be positive")
+    if abs(alpha.total_order - nu) > EXP_TOL:
+        raise ValueError(
+            f"form order {alpha.total_order} does not match requested order {nu}")
+    comps = _components(alpha, ctx)
+
+    for i in range(ctx.n):
+        for j in range(ctx.n):
+            if i == j:
+                continue
+            res = ref_integrability_residual(alpha, i, j, ctx)
+            if max_abs_coeff(res) > RESIDUAL_TOL:
+                return ExactnessResult("not_integrable", residual=res, i=i, j=j)
+
+    f = ref_reconstruct(comps, list(range(ctx.n)), nu, ctx)
+    if f is None:
+        raise VerificationError(
+            "integrability residuals vanish but reconstruction failed; "
+            "this signals an internal inconsistency")
+    f = canonicalize(f)
+    round_trip = frac_exterior_deriv(f, nu, ctx)
+    if not forms_close(round_trip, alpha, 1e-9):
+        raise VerificationError(
+            "reconstructed potential failed the d^nu round-trip check")
+    return ExactnessResult("exact", f=f, kernel=tuple(kernel_basis_dv(nu, ctx)))
+
+
+X1234 = Context.of(("x1", "x2", "x3", "x4"))
+
+
+@st.composite
+def exactness_cases(draw):
+    """(alpha, nu, ctx): a grade-1 form over 1-4 coordinates whose order is
+    within EXP_TOL of nu, 0 < nu <= 1; exact, exact plus one term, or any."""
+    ctx = draw(st.sampled_from((X1, XY, XYZ, X1234)))
+    order = draw(st.one_of(st.sampled_from((0.25, 0.5, 1.0)),
+                           st.floats(min_value=0.05, max_value=1.0)))
+    nu = draw(st.sampled_from((order, order - 5e-10, order + 5e-10)))
+    singular = draw(st.integers(0, 4)) == 0
+
+    def exponent():
+        kind = draw(st.integers(0, 9))
+        if kind == 0 and singular:  # outside the operator domain
+            return draw(st.sampled_from((-1.0, -1.5)))
+        if kind <= 4:  # whole powers, and the kernel power the derivative annihilates
+            return draw(st.sampled_from((0.0, 1.0, 2.0, order - 1.0)))
+        return draw(st.floats(min_value=-0.9, max_value=2.9))
+
+    def expr(terms):
+        out = Expr.zero(ctx.n)
+        for _ in range(terms):
+            c = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.01, 5.0))
+            out = out + monomial(ctx, c, {k: exponent() for k in range(ctx.n)})
+        return out
+
+    def one_term_form():
+        k = draw(st.integers(0, ctx.n - 1))
+        return Form(1, order, {WedgeWord((DiffFactor(k, order),)): expr(1)})
+
+    kind = draw(st.sampled_from(("exact", "perturbed", "any")))
+    if kind != "any":
+        try:
+            alpha = frac_exterior_deriv(expr(draw(st.integers(1, 3))), order, ctx)
+        except ExponentDomainError:  # the potential is outside the domain
+            kind = "any"
+    if kind == "any":
+        alpha = Form(1, order, {WedgeWord((DiffFactor(i, order),)): expr(draw(st.integers(1, 2)))
+                                for i in range(ctx.n) if draw(st.integers(0, 3))})
+    elif kind == "perturbed":
+        alpha = alpha + one_term_form()
+    return alpha, nu, ctx
+
+
+def _bits_or_none(e):
+    return None if e is None else (e.exponents.shape, e.coeffs.tobytes(), e.exponents.tobytes())
+
+
+def exactness_outcome(fn, *args):
+    """Every field of the result as bits, or the type and message of the error."""
+    try:
+        r = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (r.status, r.i, r.j, r.reason, _bits_or_none(r.residual), _bits_or_none(r.f),
+            [_bits_or_none(k) for k in r.kernel])
+
+
+@given(exactness_cases())
+@settings(max_examples=200, deadline=None)
+def test_solve_exact_matches_per_pair_reference(case):
+    alpha, nu, ctx = case
+    want = exactness_outcome(ref_solve_exact, alpha, nu, ctx)
+    assert exactness_outcome(solve_exact, alpha, nu, ctx) == want
+    if want[0] == "not_integrable":  # the public residual of the failing pair
+        i, j = want[1:3]
+        assert (_bits_or_none(integrability_residual(alpha, i, j, ctx))
+                == _bits_or_none(ref_integrability_residual(alpha, i, j, ctx)))
+
+
+def test_solve_exact_integrates_each_component_once(monkeypatch):
+    f = parse_expr("x1^2*x2*x3 + x2^1.5*x4 + x1*x3^0.5*x4^2 + x4^3", X1234)
+    alpha = frac_exterior_deriv(f, 0.5, X1234)
+    assert len(alpha.terms) == 4
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rl_integ(*args)
+
+    monkeypatch.setattr(analysis, "rl_integ", counted)
+    assert solve_exact(alpha, 0.5, X1234).status == "exact"
+    # 2n - 1: one per component for the check, one per deeper reconstruction level
+    assert len(calls) == 7

@@ -2,14 +2,19 @@
 replaced, parse_form against parse_expr, and coordinate inference."""
 
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracforms
 from fracforms import (
     Context,
     DiffFactor,
@@ -445,6 +450,27 @@ def test_form_differential_names_declared_coordinates(capsys):
         parse_form("x1 d(z,0.5)", X12)
     assert main(["dv", "x1 d(z,0.5)", "--coords", "x1,x2", "--order", "0.5"]) == 2
     assert "declared: x1, x2" in capsys.readouterr().err
+
+
+def test_form_patterns_compile_when_a_form_is_first_read():
+    # in a fresh process: importing fracforms, reading an expression and
+    # running a verb that reads no form text compile no form pattern
+    code = "\n".join((
+        "import fracforms",
+        "from fracforms import cli, symbolic",
+        "ctx = fracforms.Context.of(('x',))",
+        "fracforms.parse_expr('2*x^0.5 - x', ctx)",
+        "assert cli.main(['deriv', 'x^2', '--var', 'x', '--order', '0.5', '--coords', 'x']) == 0",
+        "assert symbolic._form_patterns.cache_info().currsize == 0",
+        "fracforms.parse_form('x d(x,0.5)', ctx)",
+        "assert symbolic._form_patterns.cache_info().currsize == 1",
+    ))
+    src = str(Path(fracforms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,43 @@ def test_rl_deriv_of_a_canonical_expression_runs_no_merge(monkeypatch):
         assert _arr_bits(got.coeffs, got.exponents) == bits
 
 
+def _padded(terms, pad, column):
+    """``terms`` plus ``pad`` rows whose keys no drawn term has; with seven a
+    side, a sum holds more than _SMALL_MERGE rows and takes the two-run merge."""
+    return terms + [_term(1.0 + k, (7.0 + k, column)) for k in range(pad)]
+
+
+def _general_merge(a, b):
+    """``_merge_arrays`` on the rows of a followed by the rows of b: the bits
+    of its terms, or the message of its ValueError."""
+    try:
+        return _arr_bits(*symbolic._merge_arrays(np.concatenate((a.coeffs, b.coeffs)),
+                                                 np.concatenate((a.exponents, b.exponents))))
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(term_lists(max_size=30), term_lists(max_size=30), st.integers(min_value=0, max_value=7))
+# exponents within EXP_TOL on either side of a key: the closer one is kept
+@example([_term(1.0, (0.5 + 4e-10, 1.0))], [_term(2.0, (0.5 - 6e-10, 1.0))], 7)
+@example([_term(1.0, (0.5 - 4e-10, 1.0))], [_term(2.0, (0.5 + 1e-10, 1.0))], 7)
+# keys in _round9's doubt region: a decimal tie at the ninth digit, |p| >= 2^20
+@example([_term(1.0, (2.0 ** -10, 2.0 ** 20 + 0.25)), _term(1.0, (2.0 ** -10 + 1e-12, 1.0))],
+         [_term(3.0, (2.0 ** -10, 2.0 ** 20 + 0.25)), _term(1.0, (2.0 ** -10 - 1e-12, 1.0))], 7)
+@example([_term(1.5, (1.0, 0.5))], [_term(-1.5, (1.0, 0.5))], 7)  # exact cancellation
+@example([_term(1.0, (2.0, 0.0))], [_term(-1.0 + 5e-13, (2.0, 0.0))], 7)  # below COEFF_DROP
+@example([_term(1.0, (0.5 + 2.0 ** -32, 1.0))],  # a tie in distance to the key:
+         [_term(2.0, (0.5 - 2.0 ** -32, 1.0))], 7)  # b's exponent is kept
+@example([_term(1e308, (1.0, 1.0))], [_term(1e308, (1.0, 1.0))], 7)  # overflow to inf
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sum_of_canonical_expressions_matches_general_merge(a_terms, b_terms, pad):
+    a = canonicalize(_expr(_padded(a_terms, pad, 9.0), 2))
+    b = canonicalize(_expr(_padded(b_terms, pad, 10.0), 2))
+    assert _outcome(lambda: a + b) == _general_merge(a, b)
+    assert _outcome(lambda: a - b) == _general_merge(a, -b)
+
+
 @given(term_lists())
 @settings(max_examples=50, deadline=None)
 def test_canonicalize_returns_a_canonical_expression_unchanged(terms):
