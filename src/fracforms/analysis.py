@@ -1,4 +1,4 @@
-"""Kernels, closedness, integrability, and exact-potential reconstruction.
+"""Kernels, closedness, integrability, and exact potentials at any order nu > 0.
 
 Everything here is anchored at the origin: the differintegral kernels used
 for the basis elements and the reconstruction formula are only valid when
@@ -10,19 +10,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
 
-import numpy as np
-
-from .errors import UnsupportedError, VerificationError
-from .forms import DiffFactor, Form, WedgeWord, forms_close, frac_exterior_deriv
+from .errors import ExponentDomainError, UnsupportedError, VerificationError
+from .forms import DiffFactor, Form, WedgeWord, frac_exterior_deriv
 from .rl import rl_deriv, rl_integ
 from .specialfn import whole_ceil
 from .symbolic import (
     EXP_TOL,
     Context,
     Expr,
-    canonicalize,
     classical_derivative,
     max_abs_coeff,
     monomial,
@@ -127,11 +123,6 @@ def integrability_residual(alpha: Form, i: int, j: int, ctx: Context) -> Expr:
     comps = _components(alpha, ctx)
     nu = alpha.total_order
     inner = comps[j] - rl_deriv(rl_integ(comps[i], i, nu, ctx), j, nu, ctx)
-    return _obstruction(inner, i, nu)
-
-
-def _obstruction(inner: Expr, i: int, nu: float) -> Expr:
-    """d^m/dx_i^m [ inner / x_i^(nu-m) ], m the ceiling whole order of nu."""
     m = whole_ceil(nu)
     return classical_derivative(shift_exponent(inner, i, -(nu - m)), i, m)
 
@@ -141,8 +132,9 @@ class ExactnessResult:
     """Outcome of exact-potential reconstruction.
 
     status is one of "exact" (f holds the potential), "not_integrable"
-    (residual/i/j hold the first failing obstruction), or "unsupported"
-    (reason says why the problem is out of scope).
+    (residual/i/j hold the first closure witness of d^nu alpha, as
+    ``is_closed`` reports it), or "unsupported" (reason says why the problem
+    is out of scope).
     """
 
     status: str
@@ -158,86 +150,50 @@ class ExactnessResult:
         return self.status == "exact"
 
 
-def _reconstruct(comps: list[Expr], coords: list[int], nu: float, ctx: Context,
-                 f0: Expr | None = None, nums: Iterable[Expr] = ()) -> Expr | None:
-    """Recursive candidate potential; None when a division leaves a remainder.
-
-    ``f0`` and ``nums``, when given, are D_i0^(-nu) comps[i0] and, for each
-    later coordinate j in turn, comps[j] - D_j^nu f0, already computed;
-    otherwise each is computed as it is needed.
-    """
-    i0 = coords[0]
-    if f0 is None:
-        f0 = rl_integ(comps[i0], i0, nu, ctx)
-        nums = (comps[j] - rl_deriv(f0, j, nu, ctx) for j in coords[1:])
-    if len(coords) == 1:
-        return f0
-    beta = list(comps)
-    for j, num in zip(coords[1:], nums):
-        shifted = canonicalize(shift_exponent(num, i0, -(nu - 1.0)))
-        free = np.abs(shifted.exponents[:, i0]) <= EXP_TOL
-        # the shifted residue must be free of x_i0, else no separable c_0 exists
-        if (~free & (np.abs(shifted.coeffs) > RESIDUAL_TOL)).any():
-            return None
-        beta[j] = shifted.take(free)
-    c0 = _reconstruct(beta, coords[1:], nu, ctx)
-    if c0 is None:
-        return None
-    return f0 + c0 * monomial(ctx, 1.0, {i0: nu - 1.0})
-
-
 def solve_exact(alpha: Form, nu: float, ctx: Context) -> ExactnessResult:
-    """Reconstruct f with d^nu f = alpha for a grade-1 form, 0 < nu <= 1.
+    """Reconstruct f with d^nu f = alpha for a grade-1 form, any order nu > 0.
 
-    The integrability residual of every ordered pair (i, j) is checked first,
-    in order, and the first one above ``RESIDUAL_TOL`` is reported.  Each
-    D_i^(-nu) alpha_i is computed once for all its pairs, and the partials
-    of the i = 0 pairs, D_0^(-nu) alpha_0 and alpha_j - D_j^nu D_0^(-nu)
-    alpha_0, feed the reconstruction when nu is the form's own order.
-
-    The candidate is f = D_1^(-nu) alpha_1 + c_0 * x_1^(nu-1) with c_0 an
-    expression in the remaining coordinates, solved recursively; the result
-    is round-trip verified before being reported exact.  Reconstruction for
-    nu > 1 needs several kernel constants at once and is not offered.
+    The Poincare-lemma homotopy: from gamma = alpha and f = 0, each coordinate
+    c in turn adds part = D_c^(-nu) gamma_c to f and subtracts d^nu part from
+    gamma.  On power products at the origin D_c^nu D_c^(-nu) is the identity
+    and partials along different coordinates commute, so the leftover
+    gamma = alpha - d^nu f, the round trip, vanishes exactly when alpha is
+    closed.  Everything runs at the form's order, which nu must match within
+    EXP_TOL.  A leftover word above ``RESIDUAL_TOL``, or a closure witness
+    after a term leaves the operator domain, gives "not_integrable" with the
+    first witness of is_closed(gamma), the one ``frac closed`` prints; a domain
+    failure without a witness is "unsupported" and names the term.
     """
     nu = float(nu)
     if not ctx.at_origin():
         return ExactnessResult("unsupported",
                                reason="initial points must all be at the origin")
-    if nu > 1.0 + EXP_TOL:
-        return ExactnessResult("unsupported",
-                               reason=f"reconstruction is limited to 0 < nu <= 1, got {nu}")
     if nu <= EXP_TOL:
         return ExactnessResult("unsupported", reason="order must be positive")
     order = alpha.total_order
     if abs(order - nu) > EXP_TOL:
-        raise ValueError(
-            f"form order {order} does not match requested order {nu}")
-    comps = _components(alpha, ctx)
+        raise ValueError(f"form order {order} does not match requested order {nu}")
+    _components(alpha, ctx)  # grade 1 only
 
-    top = ()
-    for i in range(ctx.n if ctx.n > 1 else 0):  # one coordinate has no pairs
-        f_i = rl_integ(comps[i], i, order, ctx)
-        nums = []
-        for j in range(ctx.n):
-            if i == j:
-                continue
-            num = comps[j] - rl_deriv(f_i, j, order, ctx)
-            nums.append(num)
-            res = _obstruction(num, i, order)
-            if max_abs_coeff(res) > RESIDUAL_TOL:
-                return ExactnessResult("not_integrable", residual=res, i=i, j=j)
-        if i == 0 and nu == order:
-            top = (f_i, nums)
-
-    f = _reconstruct(comps, list(range(ctx.n)), nu, ctx, *top)
-    if f is None:
-        raise VerificationError(
-            "integrability residuals vanish but reconstruction failed; "
-            "this signals an internal inconsistency")
-    f = canonicalize(f)
-    round_trip = frac_exterior_deriv(f, nu, ctx)
-    if not forms_close(round_trip, alpha, 1e-9):
-        raise VerificationError(
-            "reconstructed potential failed the d^nu round-trip check")
-    return ExactnessResult("exact", f=f, kernel=tuple(kernel_basis_dv(nu, ctx)))
+    gamma, f, failure = alpha, Expr.zero(ctx.n), None
+    try:
+        for c in range(ctx.n):
+            part = rl_integ(gamma.component(c, ctx.n), c, order, ctx)
+            f = f + part
+            gamma = gamma - frac_exterior_deriv(part, order, ctx)
+    except ExponentDomainError as exc:
+        failure = str(exc)
+    else:
+        if all(max_abs_coeff(res) <= RESIDUAL_TOL for res in gamma.terms.values()):
+            return ExactnessResult("exact", f=f, kernel=tuple(kernel_basis_dv(order, ctx)))
+    try:  # d^nu gamma = d^nu alpha, and gamma is the smaller form
+        witnesses = is_closed(gamma, order, ctx).witnesses
+    except ExponentDomainError:
+        witnesses = ()
+    if witnesses:
+        i, j, res = witnesses[0]
+        return ExactnessResult("not_integrable", residual=res, i=i, j=j)
+    if failure is not None:
+        return ExactnessResult("unsupported", reason=failure)
+    raise VerificationError("d^nu f leaves a residue of a closed form; "
+                            "this signals an internal inconsistency")

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from fracforms import Context, form_from_json, frac_exterior_deriv, forms_close, parse_expr
+from fracforms import (Context, exprs_close, form_from_json, frac_exterior_deriv, forms_close,
+                       parse_expr)
 from fracforms.cli import infer_coords, main
 
 
@@ -174,9 +175,24 @@ def test_exact_no_with_residual(capsys):
 
 
 def test_exact_unsupported_order_exits_4(capsys):
-    code, _, err = run(capsys, "exact", "x2 d(x1,1)", "--order", "1.5")
+    code, _, err = run(capsys, "exact", "x2 d(x1,1)", "--coords", "x1,x2", "--origin", "1,0")
     assert code == 4
     assert err.startswith("unsupported:")
+    # an --order off the form's own order is a usage error, not an unsupported one
+    code, out, err = run(capsys, "exact", "x2 d(x1,1)", "--order", "1.5")
+    assert code == 3
+    assert out == ""
+    assert "does not match requested order 1.5" in err
+
+
+def test_exact_above_order_one(capsys):
+    code, out, _ = run(capsys, "exact", "2.2567583341910254*x1^0.5*x2 d(x1,1.5) "
+                       "+ 0.5641895835477563*x1^2*x2^-0.5 d(x2,1.5)", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "exact"
+    ctx = Context.of(("x1", "x2"))
+    assert exprs_close(parse_expr(payload["f"], ctx), parse_expr("x1^2*x2", ctx), tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
