@@ -12,11 +12,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import ExponentDomainError, UnsupportedError, VerificationError
-from .forms import DiffFactor, Form, WedgeWord, frac_exterior_deriv
+from .forms import Form, frac_exterior_deriv
 from .rl import rl_deriv, rl_integ
 from .specialfn import whole_ceil
 from .symbolic import (
-    EXP_TOL,
     Context,
     Expr,
     classical_derivative,
@@ -24,9 +23,7 @@ from .symbolic import (
     monomial,
     shift_exponent,
 )
-
-# residual coefficients below this are treated as a satisfied condition
-RESIDUAL_TOL = 1e-10
+from .tolerances import EXP_TOL, RESIDUAL_TOL
 
 
 def _require_origin(ctx: Context, what: str) -> None:
@@ -92,12 +89,11 @@ def is_closed(alpha: Form, mu: float, ctx: Context) -> ClosureReport:
     holds the single partial rl_deriv(alpha_i, j, mu) up to the word's sign.
     """
     mu = float(mu)
-    comps = _components(alpha, ctx)
+    _components(alpha, ctx)  # grade 1 only
     if mu <= EXP_TOL:
         raise ValueError(f"closedness order must be positive, got {mu}")
     nu = alpha.total_order
     order = nu if abs(mu - nu) <= EXP_TOL else mu
-    alpha = Form(1, nu, {WedgeWord((DiffFactor(i, nu),)): c for i, c in enumerate(comps)})
     witnesses = []
     for word, res in frac_exterior_deriv(alpha, order, ctx).terms.items():
         if max_abs_coeff(res) <= RESIDUAL_TOL:

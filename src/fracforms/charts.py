@@ -32,9 +32,8 @@ from .errors import NegativeQuadraticFormError, QuadratureDomainError, Unsupport
 from .forms import DiffFactor, Form, WedgeWord
 from .oracle import freeze_all_but, richardson_partial
 from .rl import power_rule_map
-from .specialfn import gamma_ratio, rgamma, whole_ceil
+from .specialfn import gamma_ratio, rgamma, snap_int, whole_ceil
 from .symbolic import (
-    EXP_TOL,
     Context,
     Expr,
     eval_expr,
@@ -43,6 +42,7 @@ from .symbolic import (
     print_expr,
     term_values,
 )
+from .tolerances import EXP_TOL
 
 Evaluable = Expr | Callable[[Sequence[float]], float]
 
@@ -81,16 +81,15 @@ class Chart:
         return Chart(self.name + "~rev", self.ctx_y, self.ctx_x,
                      self.inverse, self.forward)
 
-    def validate(self, probes: Sequence[Sequence[float]] | None = None,
-                 tol: float = 1e-8) -> None:
-        """Check inverse-after-forward identity at probe points."""
+    def validate(self, probes: Sequence[Sequence[float]] | None = None) -> None:
+        """Check inverse-after-forward identity at probe points, to 1e-8."""
         if probes is None:
             atil = self.ctx_y.initial_points
             probes = [tuple(v + 0.7 for v in atil), tuple(v + 1.3 for v in atil)]
         for p in probes:
             back = self.y_of(self.x_of(p))
             err = max(abs(b - v) for b, v in zip(back, p))
-            if not err <= tol:
+            if not err <= 1e-8:
                 raise ValueError(
                     f"chart {self.name!r}: round trip at {tuple(p)} misses by {err:.3g}")
 
@@ -147,8 +146,9 @@ def get_chart(spec: str, n: int | None = None) -> Chart:
         m = np.asarray(mat, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"affine chart needs a square matrix, got shape {m.shape}")
-        if abs(np.linalg.det(m)) < 1e-12:
-            raise ValueError("affine chart matrix is singular")
+        cond = np.linalg.cond(m)
+        if not cond < 1.0 / np.finfo(np.float64).eps:
+            raise ValueError(f"affine chart matrix is singular (condition number {cond:.3g})")
         minv = np.linalg.inv(m)
         k = m.shape[0]
         ctx_x, ctx_y = _grid_contexts(k)
@@ -183,7 +183,7 @@ def alpha_k(k: int | str, nu: float, ctx: Context) -> Expr:
     k = ctx.index(k)
     m = whole_ceil(nu)
     powers = {k: nu}
-    if abs(nu - m) > EXP_TOL:
+    if snap_int(nu) is None:
         for i in range(ctx.n):
             if i != k:
                 powers[i] = nu - m
@@ -225,7 +225,7 @@ def _integrand_numeric(chart: Chart, k: int, nu: float) -> Callable:
     """y-vector -> the alpha_k power product of the chart's forward maps."""
     m = whole_ceil(nu)
     a = chart.ctx_x.initial_points
-    fractional = abs(nu - m) > EXP_TOL
+    fractional = snap_int(nu) is None
 
     def g(y):
         with np.errstate(all="ignore"):
@@ -319,7 +319,7 @@ def _symbolic_entries(chart: Chart, nu: float, m: int) -> tuple:
     rows = []
     for k in range(chart.n):
         integrand = Expr.constant(1.0, chart.n)
-        if abs(nu - m) > EXP_TOL:
+        if snap_int(nu) is None:
             for j in range(chart.n):
                 if j == k:
                     continue
@@ -339,16 +339,15 @@ def _symbolic_entries(chart: Chart, nu: float, m: int) -> tuple:
 def _numeric_entries(chart: Chart, nu: float, m: int, point,
                      h0: float, levels: int) -> tuple:
     atil = chart.ctx_y.initial_points
-    whole = abs(nu - round(nu)) <= EXP_TOL
+    whole = snap_int(nu)
     scale = rgamma(nu + 1.0)
     rows = []
     for k in range(chart.n):
         g = _integrand_numeric(chart, k, nu)
         row = []
         for i in range(chart.n):
-            if whole:
-                val = _central_derivative(freeze_all_but(g, i, point), float(point[i]),
-                                          int(round(nu)))
+            if whole is not None:
+                val = _central_derivative(freeze_all_but(g, i, point), float(point[i]), whole)
             else:
                 if not float(point[i]) > atil[i]:
                     raise QuadratureDomainError(

@@ -43,7 +43,6 @@ from .oracle import expr_univariate, gl_deriv, richardson
 from .rl import rl_deriv, rl_integ
 from .specialfn import gamma_ratio, rgamma
 from .symbolic import (
-    EXP_TOL,
     Context,
     Expr,
     eval_expr,
@@ -53,6 +52,7 @@ from .symbolic import (
     print_expr,
     scan_terms,
 )
+from .tolerances import EXP_TOL, RESIDUAL_TOL
 
 DIGITS = 10
 
@@ -324,7 +324,7 @@ def _check_eq20():
     ctx = Context.of(("x", "y"))
     got = frac_exterior_deriv(parse_expr("x^2", ctx), 0.5, ctx)
     want = _expected_eq20(ctx)
-    return (forms_close(got, want, 1e-12), print_form(want, ctx, DIGITS),
+    return (forms_close(got, want), print_form(want, ctx, DIGITS),
             print_form(got, ctx, DIGITS))
 
 
@@ -332,7 +332,7 @@ def _check_scalar(nu, want_text):
     ctx = Context.of(("x", "y"))
     got = frac_exterior_deriv(parse_expr("x^2", ctx), nu, ctx)
     want = parse_form(want_text, ctx)
-    return forms_close(got, want, 1e-12), want_text, print_form(got, ctx, DIGITS)
+    return forms_close(got, want), want_text, print_form(got, ctx, DIGITS)
 
 
 def _check_eq45():
@@ -345,7 +345,7 @@ def _check_eq45():
 def _check_eq54():
     ctx = Context.of(("x",))
     out = rl_deriv(alpha_k(0, 0.5, ctx), 0, 0.5, ctx)
-    ok = exprs_close(out, Expr.constant(1.0, 1), 1e-10)
+    ok = exprs_close(out, Expr.constant(1.0, 1), RESIDUAL_TOL)
     return ok, "1", print_expr(out, ctx, DIGITS)
 
 

@@ -23,7 +23,6 @@ from typing import Iterable, Mapping
 from .errors import ParseError
 from .rl import rl_deriv
 from .symbolic import (
-    EXP_TOL,
     Context,
     Expr,
     canonicalize,
@@ -35,6 +34,7 @@ from .symbolic import (
     scan_terms,
     term_text,
 )
+from .tolerances import COEFF_DROP, EXP_TOL, key
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class DiffFactor:
             raise ValueError(f"differential order must be >= 0, got {self.order}")
 
     def key(self) -> tuple[int, float]:
-        return (self.coord, round(self.order, 9))
+        return (self.coord, key(self.order))
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,9 @@ def canonical_word(factors: Iterable[DiffFactor]) -> tuple[int, WedgeWord | None
 
 
 class Form:
-    """A uniform-grade, uniform-total-order sum of coefficient-weighted words."""
+    """A uniform-grade, uniform-total-order sum of coefficient-weighted words.
+
+    A grade-1 word's order, within ``EXP_TOL`` of the total order, is that order."""
 
     __slots__ = ("grade", "total_order", "terms")
 
@@ -115,6 +117,10 @@ class Form:
                 raise ValueError(
                     f"word order sum {word.order_sum} != form total order {total_order}"
                 )
+            if grade == 1 and word.factors[0].order != total_order:
+                word = WedgeWord((DiffFactor(word.factors[0].coord, total_order),))
+            if word in cleaned:  # two grade-1 words that now share the form's order
+                coeff = cleaned.pop(word) + coeff
             coeff = canonicalize(coeff)
             if len(coeff.coeffs):
                 cleaned[word] = coeff
@@ -188,7 +194,7 @@ class Form:
         return f"Form(grade={self.grade}, total_order={self.total_order}, words={len(self.terms)})"
 
 
-def forms_close(a: Form, b: Form, tol: float = 1e-12) -> bool:
+def forms_close(a: Form, b: Form, tol: float = COEFF_DROP) -> bool:
     """Canonical equality up to a coefficient tolerance."""
     if a.grade != b.grade or abs(a.total_order - b.total_order) > EXP_TOL:
         return False

@@ -21,9 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExponentDomainError
-from .specialfn import POLE_TOL, gamma_ratio, gen_binomial, rgamma, snap_int, whole_ceil
+from .specialfn import gamma_ratio, gen_binomial, rgamma, snap_int, whole_ceil
 from .symbolic import (
-    EXP_TOL,
     Context,
     Expr,
     canonicalize,
@@ -36,6 +35,7 @@ from .symbolic import (
     shift_column,
     shift_exponent,
 )
+from .tolerances import EXP_TOL
 
 
 def _whole_order_factor(p: float, k: int) -> float:
@@ -66,8 +66,8 @@ def power_rule_map(e: Expr, coord: int, q: float, ctx: Context,
     p = e.exponents[:, coord]
     # the distinct exponents, ascending; 0.0 and -0.0 count as one (same factor)
     values = sorted(set(p.tolist()))
-    if values and values[0] <= -1.0 + POLE_TOL:
-        first = next(v for v in p.tolist() if v <= -1.0 + POLE_TOL)
+    if values and values[0] <= -1.0 + EXP_TOL:
+        first = next(v for v in p.tolist() if v <= -1.0 + EXP_TOL)
         raise ExponentDomainError(
             f"exponent {first} on {ctx.names[coord]} is outside "
             f"the operator domain (needs p > -1)"

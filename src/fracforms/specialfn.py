@@ -15,20 +15,16 @@ from __future__ import annotations
 import math
 
 from .errors import PoleError
-
-# Distance at which an argument counts as sitting on a pole of gamma.
-POLE_TOL = 1e-9
-# Stricter guard used by gamma() itself before it refuses to evaluate.
-_GAMMA_PRE_TOL = 1e-12
+from .tolerances import EXP_TOL
 
 _LOG_MAX = 709.0   # log of the largest finite double, roughly
 _LOG_MIN = -745.0  # below this exp() underflows to zero
 
 
-def snap_int(x: float, tol: float = POLE_TOL) -> int | None:
-    """Nearest integer when ``x`` is within ``tol`` of one, else None."""
+def snap_int(x: float) -> int | None:
+    """Nearest integer when ``x`` is within ``EXP_TOL`` of one, else None."""
     r = round(x)
-    if abs(x - r) <= tol:
+    if abs(x - r) <= EXP_TOL:
         return int(r)
     return None
 
@@ -45,12 +41,12 @@ def whole_ceil(q: float) -> int:
     return math.ceil(q)
 
 
-def is_gamma_pole(x: float, tol: float = POLE_TOL) -> bool:
-    """True when ``x`` lies within ``tol`` of a non-positive integer."""
+def is_gamma_pole(x: float) -> bool:
+    """True when ``x`` lies within ``EXP_TOL`` of a non-positive integer."""
     if x > 0.5:
         return False
     r = round(x)
-    return r <= 0 and abs(x - r) <= tol
+    return r <= 0 and abs(x - r) <= EXP_TOL
 
 
 def sign_gamma(x: float) -> float:
@@ -63,10 +59,12 @@ def sign_gamma(x: float) -> float:
 def gamma(x: float) -> float:
     """Gamma function on the real line, raising :class:`PoleError` at poles.
 
-    Relative accuracy is a few ulps over [-170, 170] away from the poles;
-    callers who need a value *at* a pole want :func:`rgamma` instead.
+    A pole is where :func:`rgamma` is zero: within ``EXP_TOL`` of a
+    non-positive integer.  Relative accuracy is a few ulps over [-170, 170]
+    away from the poles; callers who need a value *at* a pole want
+    :func:`rgamma` instead.
     """
-    if is_gamma_pole(x, _GAMMA_PRE_TOL):
+    if is_gamma_pole(x):
         raise PoleError(f"gamma({x}) is a pole; use rgamma for the reciprocal")
     return math.gamma(x)
 
@@ -116,10 +114,10 @@ def gen_binomial(q: float, j: int) -> float:
 
     Equals Gamma(q+1) / (Gamma(j+1) * Gamma(q-j+1)) with the mathematical
     Gamma function wherever that ratio is defined (not this module's
-    :func:`rgamma`, which snaps to 0 within ``POLE_TOL`` of a pole).  It is
+    :func:`rgamma`, which snaps to 0 within ``EXP_TOL`` of a pole).  It is
     computed as the falling-factorial product q(q-1)...(q-j+1)/j!, a
     polynomial in q, so it stays finite for negative integer q and is
-    continuous in q: no tolerance snap is applied, and a q within 1e-9 of a
+    continuous in q: no tolerance snap is applied, and a q within EXP_TOL of a
     whole number gives the small true value, not zero.  The result is exactly
     zero only for whole q with 0 <= q < j, where the factor q - q is 0.0.
     """

@@ -31,11 +31,13 @@ exponent matrix ``exponents`` of shape (m, n), and nothing else.  The
 operators work on those arrays directly; ``Expr(coeffs, exponents, n)`` is
 the one constructor that wraps them.
 
-Canonicalization snaps exponents within 1e-9 of 0 to 0, merges terms whose
-exponent vectors round to the same key ``round(p, 9)`` in every coordinate,
-drops coefficients below 1e-12 in magnitude, and sorts terms
-lexicographically by key, so equal expressions have identical
-representations.  A merged coefficient is the left fold of the merged terms'
+Canonicalization snaps exponents within ``EXP_TOL`` (1e-9) of 0 to 0,
+merges terms whose exponent vectors have the same merge key (the exponent
+rounded to nine decimals) in every coordinate, drops coefficients below
+``COEFF_DROP`` (1e-12) in magnitude, and sorts terms lexicographically by
+key, so equal expressions have identical representations.  The thresholds
+and the key are defined in :mod:`fracforms.tolerances`, the one home of the
+tolerance policy.  A merged coefficient is the left fold of the merged terms'
 coefficients in input order (first + second + ...), and each merged exponent
 is, per coordinate, the last one in input order among those closest to the
 key.  The result does not depend on how the merge is carried out: the
@@ -72,9 +74,7 @@ from .errors import (
     UnsupportedError,
 )
 from .specialfn import snap_int
-
-EXP_TOL = 1e-9      # exponent merge / snap tolerance
-COEFF_DROP = 1e-12  # coefficients strictly below this are dropped
+from .tolerances import COEFF_DROP, EXP_TOL, KEY_DIGITS, key, keys
 
 # Up to this many terms canonicalize merges in a dict loop; above it, with
 # lexsort and bincount.  Both give the same doubles (a property test checks
@@ -345,21 +345,6 @@ class Expr:
         )
 
 
-def _round9(p: np.ndarray) -> np.ndarray:
-    """Elementwise ``round(p, 9)``, the same doubles as Python's round.
-
-    ``rint(p*1e9)/1e9`` is Python's answer whenever the rounded product sits
-    clearly off a half-integer and is small enough for exact integers; the
-    few entries where that is not certain go through Python's round.
-    """
-    y = p * 1e9
-    keys = np.rint(y) / 1e9
-    doubt = (np.abs(p) >= 2.0 ** 20) | (np.abs(y - np.floor(y) - 0.5) <= np.abs(y) * 2.0 ** -52)
-    if doubt.any():
-        keys[doubt] = [round(v, 9) for v in p[doubt].tolist()]
-    return keys
-
-
 def _merge_one(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The canonical merge of a single term: snap and drop, nothing to sort."""
     c = float(coeffs[0])
@@ -374,22 +359,27 @@ def _merge_one(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _merge_loop(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical merge as a dict loop, for a few terms."""
+    """The canonical merge as a dict loop, for a few terms.
+
+    The key is written as the builtin ``round`` with ``KEY_DIGITS``, the same
+    doubles as :func:`fracforms.tolerances.key` without a call per exponent.
+    """
     cs, rows = coeffs.tolist(), exponents.tolist()
     if not (math.isfinite(sum(cs)) and math.isfinite(sum(map(sum, rows)))):
         _check_finite(coeffs, exponents)  # else only the sum overflowed
+    digits = KEY_DIGITS
     buckets: dict[tuple[float, ...], list] = {}
     for c, row in zip(cs, rows):
         exps = tuple([0.0 if abs(p) <= EXP_TOL else p for p in row])
-        key = tuple([round(p, 9) if p else 0.0 for p in exps])
-        slot = buckets.get(key)
+        bucket = tuple([round(p, digits) if p else 0.0 for p in exps])
+        slot = buckets.get(bucket)
         if slot is None:
-            buckets[key] = [exps, c]
+            buckets[bucket] = [exps, c]
         else:
             # keep, per coordinate, whichever exponent sits closer to the key
             slot[0] = tuple(
                 p if abs(p - k) <= abs(old - k) else old
-                for old, p, k in zip(slot[0], exps, key)
+                for old, p, k in zip(slot[0], exps, bucket)
             )
             slot[1] += c
     kept = [slot for _, slot in sorted(buckets.items()) if abs(slot[1]) >= COEFF_DROP]
@@ -405,12 +395,12 @@ def _merge_arrays(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray
     _check_finite(coeffs, exponents)
     m, n = exponents.shape
     snapped = np.where(np.abs(exponents) <= EXP_TOL, 0.0, exponents)
-    keys = _round9(snapped)
-    order = np.lexsort(keys.T[::-1])  # stable: input order within a key
-    keys, snapped = keys[order], snapped[order]
+    ks = keys(snapped)
+    order = np.lexsort(ks.T[::-1])  # stable: input order within a key
+    ks, snapped = ks[order], snapped[order]
     first = np.empty(m, dtype=bool)
     first[:1] = True
-    np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
+    np.any(ks[1:] != ks[:-1], axis=1, out=first[1:])
     if first.all():
         out_c, out_e = coeffs[order], snapped
     else:
@@ -420,7 +410,7 @@ def _merge_arrays(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray
         in_group[order] = group
         # bincount adds the weights one by one in input order: the left fold
         out_c = np.bincount(in_group, weights=coeffs, minlength=len(starts))
-        dist = np.abs(snapped - keys)
+        dist = np.abs(snapped - ks)
         closest = dist == np.minimum.reduceat(dist, starts, axis=0)[group]
         last = np.maximum.reduceat(np.where(closest, np.arange(m)[:, None], -1), starts, axis=0)
         out_e = snapped[last, np.arange(n)]
@@ -443,15 +433,15 @@ def _merge_runs(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, 
     coordinate it keeps the second row's exponent when that sits at least as
     close to the key, the last-closest rule.
     """
-    keys = _round9(exponents)
-    order = np.lexsort(keys.T[::-1])
-    keys, coeffs, exponents = keys[order], coeffs[order], exponents[order]
-    first = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
+    ks = keys(exponents)
+    order = np.lexsort(ks.T[::-1])
+    ks, coeffs, exponents = ks[order], coeffs[order], exponents[order]
+    first = np.flatnonzero((ks[1:] == ks[:-1]).all(axis=1))
     second = first + 1
     if len(first):
         with np.errstate(over="ignore"):  # an overflow raises below, as in the general merge
             coeffs[first] += coeffs[second]
-        k, ea, eb = keys[first], exponents[first], exponents[second]
+        k, ea, eb = ks[first], exponents[first], exponents[second]
         exponents[first] = np.where(np.abs(eb - k) <= np.abs(ea - k), eb, ea)
     keep = np.abs(coeffs) >= COEFF_DROP
     keep[second] = False
@@ -627,9 +617,10 @@ def parse_expr(text: str, ctx: Context) -> Expr:
 def term_text(coeff: float, exps: Sequence[float], ctx: Context, digits: int | None = None,
               first: bool = True, word: str = "") -> str:
     """One term in the input grammar, with its sign and an optional wedge
-    ``word``: " - 2*x^3 d(x,0.5)".  A leading minus needs a number after it."""
-    facs = [ctx.names[i] if round(p, 9) == 1.0 else f"{ctx.names[i]}^{fmt_number(p, digits)}"
-            for i, p in enumerate(exps) if p != 0.0]
+    ``word``: " - 2*x^3 d(x,0.5)".  A leading minus needs a number after it,
+    and a coordinate stands bare only when its exponent prints as 1."""
+    powers = [(name, fmt_number(p, digits)) for name, p in zip(ctx.names, exps) if p != 0.0]
+    facs = [name if power == "1" else f"{name}^{power}" for name, power in powers]
     mag = abs(coeff)
     if mag != 1.0 or (first and coeff < 0) or not (facs or word):
         facs.insert(0, fmt_number(mag, digits))
@@ -653,7 +644,7 @@ def print_expr(e: Expr, ctx: Context, digits: int | None = None) -> str:
 def term_values(e: Expr, ctx: Context, point: Sequence, strict: bool = True) -> list:
     """Value of each term of ``e`` at ``point``, in term order.
 
-    The one evaluator of power products.  An exponent within ``POLE_TOL`` of
+    The one evaluator of power products.  An exponent within ``EXP_TOL`` of
     a whole number is taken as that whole power, so a negative base is
     allowed under it.  With ``strict`` the coordinates are floats and a
     non-integer power of a non-positive base, or a zero base under a negative
@@ -767,20 +758,20 @@ def shift_column(e: Expr, coord: int, delta: float, coeffs: np.ndarray,
 def _shift_keeps_keys(values: list[float], delta: float) -> bool:
     """Does adding ``delta`` to the distinct ascending exponents ``values``
     keep them finite, snap none of them, and keep every equality and every
-    strict inequality between the keys ``round(p, 9)`` of neighbouring values?
+    strict inequality between the merge keys of neighbouring values?
 
     Keys are monotone in p, so neighbours suffice.  Then the rows of a
     canonical expression keep distinct keys in the same lexicographic order
     after the shift, and the merge would return them unchanged.
     """
-    delta = float(delta)  # Python floats, so round is Python's round
+    delta = float(delta)  # Python floats, so the keys are Python's round
     new = [p + delta for p in values]
     if not math.isfinite(sum(new)):  # also when only the sum overflows
         return False
     if any(0.0 < abs(p) <= EXP_TOL for p in new):  # would snap to 0
         return False
-    old_keys = [round(p, 9) for p in values]
-    new_keys = [round(p, 9) for p in new]
+    old_keys = list(map(key, values))
+    new_keys = list(map(key, new))
     for a, b, c, d in zip(old_keys, old_keys[1:], new_keys, new_keys[1:]):
         if a != b and c == d:  # two keys would merge into one
             return False

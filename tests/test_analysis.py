@@ -28,11 +28,12 @@ from fracforms import (
     rl_deriv,
     solve_exact,
 )
-from fracforms.analysis import RESIDUAL_TOL, ClosureReport, ExactnessResult, _components
+from fracforms.analysis import ClosureReport, ExactnessResult, _components
 from fracforms.errors import VerificationError
 from fracforms.rl import rl_integ
 from fracforms.specialfn import whole_ceil
-from fracforms.symbolic import EXP_TOL, canonicalize, max_abs_coeff, shift_exponent
+from fracforms.symbolic import canonicalize, max_abs_coeff, shift_exponent
+from fracforms.tolerances import EXP_TOL, RESIDUAL_TOL
 
 X1 = Context.of(("x",))
 XY = Context.of(("x1", "x2"))
@@ -160,6 +161,21 @@ def test_closed_at_an_order_within_tolerance_of_the_form_order(mu):
     report = is_closed(alpha, mu, XY)
     assert report.closed
     assert report.mu == mu
+
+
+def test_word_order_within_tolerance_of_the_form_order_is_the_form_order():
+    ctx = Context.of(("x", "y"))
+    x = parse_expr("x", ctx)
+    alpha = parse_form("x d(x,0.5) + x d(y,0.5000000006)", ctx)
+    assert alpha.component(1, ctx.n) == x
+    # words that coincide once their orders are the form's are summed
+    summed = parse_form("x d(x,0.5) + x d(y,0.5000000006) + 2*x d(y,0.5)", ctx)
+    assert summed.component(1, ctx.n) == x * 3.0
+    # the witness D_x^0.5 alpha_y - D_y^0.5 alpha_x sees alpha_y = x
+    report = is_closed(alpha, 0.5, ctx)
+    assert [w[:2] for w in report.witnesses] == [(0, 1)]
+    assert exprs_close(report.witnesses[0][2],
+                       rl_deriv(x, 0, 0.5, ctx) - rl_deriv(x, 1, 0.5, ctx))
 
 
 @pytest.mark.parametrize("mu", [0.0, 5e-10, -0.5])

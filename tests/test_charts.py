@@ -60,6 +60,15 @@ def test_registry_rejects_bad_specs(spec):
         get_chart(spec)
 
 
+def test_affine_singularity_is_judged_by_condition_number():
+    # a uniform scale by 1e-7 has condition number 1, as its scale chart
+    tiny = get_chart("affine:1e-7,0;0,1e-7")
+    assert tiny.x_of((1.0, 2.0)) == get_chart("scale:1e-7,1e-7").x_of((1.0, 2.0))
+    # condition number 8e15, beyond 1/eps: singular to working precision
+    with pytest.raises(ValueError, match="singular"):
+        get_chart("affine:1e6,2e6;1e6,2000000.000000001")
+
+
 def test_charts_validate_round_trip():
     for spec in ("polar", "identity", "scale:2,3", "affine:1,2;3,4"):
         ch = get_chart(spec, n=2) if spec == "identity" else get_chart(spec)

@@ -29,7 +29,7 @@ from fracforms import (
     parse_form,
 )
 from fracforms.cli import infer_coords, main
-from fracforms.symbolic import EXP_TOL
+from fracforms.tolerances import EXP_TOL
 
 XY = Context.of(("x", "y"))
 X12 = Context.of(("x1", "x2"))

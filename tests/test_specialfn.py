@@ -52,6 +52,13 @@ def test_gamma_near_pole_raises():
         gamma(-3.0 + 1e-13)
 
 
+@pytest.mark.parametrize("x", [-3.0 + 1e-11, -3.0 - 1e-11, 1e-10, -7.0 + 9e-10])
+def test_gamma_raises_wherever_rgamma_is_zero(x):
+    assert rgamma(x) == 0.0
+    with pytest.raises(PoleError):
+        gamma(x)
+
+
 @given(st.floats(min_value=1e-3, max_value=50.0))
 @settings(max_examples=1000, deadline=None)
 def test_gamma_recurrence(x):
