@@ -7,13 +7,20 @@ transformation matrix is
     J_i^k = 1/gamma(nu+1) * D_(y_i)^nu [ prod_{j != k} (x_j(y) - a_j)^(nu-m)
                                           * (x_k(y) - a_k)^nu ],
 
-computed symbolically when the forward maps live in the power-product class
-and numerically otherwise: Richardson-extrapolated GL sums along the
-coordinate line for fractional orders, Richardson-extrapolated central
-differences for whole orders (where the differintegral is the ordinary local
-derivative).  The matrix is stored with rows indexed by k (the source
-differential) and columns by i (the target differential), so at nu=1 row k
-is the gradient of x_k.
+computed symbolically by the power rule, or numerically at a y-point:
+Richardson-extrapolated GL sums along the coordinate line for fractional
+orders, Richardson-extrapolated central differences for whole orders (where
+the differintegral is the ordinary local derivative), with Expr forward maps
+evaluated and the sums extrapolated by the oracle's code.  The matrix is
+stored with rows indexed by k (the source differential) and columns by i
+(the target differential), so at nu=1 row k is the gradient of x_k.
+
+:func:`chart_matrix`, which :func:`inverse_residual` and the CLI's chart
+verbs call, picks between the two: symbolic entries (evaluated at the point
+when one is given) whenever every forward map is an Expr and the power rule
+closes on them, which needs single-term maps or a whole order; numeric
+entries at the point otherwise, or when ``numeric`` (the CLI's
+``--numeric``) forces them.
 
 For n >= 2 and non-whole nu the product over j != k does not drop out of the
 derivation, so the forward and reverse matrices need not be inverse to each
@@ -22,7 +29,9 @@ other; ``inverse_residual`` reports that defect instead of asserting it away.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -30,7 +39,7 @@ import numpy as np
 
 from .errors import NegativeQuadraticFormError, QuadratureDomainError, UnsupportedError
 from .forms import DiffFactor, Form, WedgeWord
-from .oracle import freeze_all_but, richardson_partial
+from .oracle import expr_evaluable, freeze_all_but, richardson_partial, richardson_table
 from .rl import power_rule_map
 from .specialfn import gamma_ratio, rgamma, snap_int, whole_ceil
 from .symbolic import (
@@ -40,7 +49,6 @@ from .symbolic import (
     fmt_number,
     monomial,
     print_expr,
-    term_values,
 )
 from .tolerances import EXP_TOL
 
@@ -180,14 +188,16 @@ def alpha_k(k: int | str, nu: float, ctx: Context) -> Expr:
     nu = float(nu)
     if nu <= 0:
         raise ValueError(f"order must be positive, got {nu}")
-    k = ctx.index(k)
+    return monomial(ctx, rgamma(nu + 1.0), dict(_kernel_powers(ctx.index(k), nu, ctx.n)))
+
+
+def _kernel_powers(k: int, nu: float, n: int) -> list[tuple[int, float]]:
+    """(j, power of x_j - a_j) in alpha_k, the spectators j != k first:
+    nu - m on each j != k and nu on k, or the whole m on k alone."""
     m = whole_ceil(nu)
-    powers = {k: nu}
-    if snap_int(nu) is None:
-        for i in range(ctx.n):
-            if i != k:
-                powers[i] = nu - m
-    return monomial(ctx, rgamma(nu + 1.0), powers)
+    if snap_int(nu) is not None:
+        return [(k, m)]
+    return [(j, nu - m) for j in range(n) if j != k] + [(k, nu)]
 
 
 # --- numeric differentiation helpers -----------------------------------------
@@ -199,56 +209,34 @@ _STENCILS = {
 }
 
 
-def _central_derivative(g: Callable[[float], float], t: float, order: int,
-                        h0: float | None = None, levels: int = 4) -> float:
-    """Richardson-extrapolated central difference, O(h^2) stencils."""
+def _central_derivative(g: Callable[[float], float], t: float, order: int) -> float:
+    """Richardson-extrapolated central difference, O(h^2) stencils at steps
+    h0, h0/2, ... (four levels from 1e-2, or three from 5e-2 at order 3)."""
     if order not in _STENCILS:
         raise UnsupportedError(f"whole-order numeric derivatives go up to 3, got {order}")
-    if h0 is None:
-        h0 = 1e-2 if order < 3 else 5e-2
-    if order == 3:
-        levels = min(levels, 3)
+    h0, levels = (1e-2, 4) if order < 3 else (5e-2, 3)
     stencil = _STENCILS[order]
-    diag = []
-    for lvl in range(levels):
-        h = h0 / 2.0 ** lvl
-        val = math.fsum(w * g(t + s * h) for s, w in stencil) / h ** order
-        row = [val]
-        for j in range(1, lvl + 1):
-            factor = 4.0 ** j
-            row.append((factor * row[j - 1] - diag[lvl - 1][j - 1]) / (factor - 1.0))
-        diag.append(row)
-    return diag[-1][-1]
+    diffs = [math.fsum(w * g(t + s * h) for s, w in stencil) / h ** order
+             for h in (h0 / 2.0 ** lvl for lvl in range(levels))]
+    return richardson_table(diffs, (2, 4, 6))[-1][-1]
 
 
 def _integrand_numeric(chart: Chart, k: int, nu: float) -> Callable:
-    """y-vector -> the alpha_k power product of the chart's forward maps."""
-    m = whole_ceil(nu)
+    """y-vector -> the alpha_k power product of the chart's forward maps;
+    domain violations become nan samples for the quadrature to police."""
     a = chart.ctx_x.initial_points
-    fractional = snap_int(nu) is None
+    maps = [expr_evaluable(f, chart.ctx_y) if isinstance(f, Expr) else f
+            for f in chart.forward]
+    powers = _kernel_powers(k, nu, chart.n)
 
     def g(y):
+        val = 1.0
         with np.errstate(all="ignore"):
-            x = [np.asarray(_raw(chart.forward[j], chart.ctx_y, y), dtype=np.float64)
-                 for j in range(chart.n)]
-            if fractional:
-                val = (x[k] - a[k]) ** nu
-                for j in range(chart.n):
-                    if j != k:
-                        val = val * (x[j] - a[j]) ** (nu - m)
-            else:
-                val = (x[k] - a[k]) ** int(m)
-            return val
+            for j, p in powers:
+                val = val * (np.asarray(maps[j](y), dtype=np.float64) - a[j]) ** p
+        return val
 
     return g
-
-
-def _raw(f: Evaluable, ctx: Context, point):
-    """Like _call but keeps arrays and lets domain violations become nan."""
-    if isinstance(f, Expr):
-        return sum(term_values(f, ctx, point, strict=False),
-                   np.zeros_like(np.asarray(point[0], dtype=np.float64)))
-    return f(point)
 
 
 # --- the transformation matrix ------------------------------------------------
@@ -314,21 +302,13 @@ def format_matrix(rows, digits: int = 10) -> str:
         for row in rows) + "]"
 
 
-def _symbolic_entries(chart: Chart, nu: float, m: int) -> tuple:
+def _symbolic_entries(chart: Chart, nu: float) -> tuple:
     a = chart.ctx_x.initial_points
     rows = []
     for k in range(chart.n):
-        integrand = Expr.constant(1.0, chart.n)
-        if snap_int(nu) is None:
-            for j in range(chart.n):
-                if j == k:
-                    continue
-                base = chart.forward[j] + Expr.constant(-a[j], chart.n)
-                integrand = integrand * base.pow(nu - m)
-            integrand = integrand * (
-                chart.forward[k] + Expr.constant(-a[k], chart.n)).pow(nu)
-        else:
-            integrand = (chart.forward[k] + Expr.constant(-a[k], chart.n)).pow(int(m))
+        integrand = functools.reduce(operator.mul, (
+            (chart.forward[j] + Expr.constant(-a[j], chart.n)).pow(p)
+            for j, p in _kernel_powers(k, nu, chart.n)))
         rows.append(tuple(
             power_rule_map(integrand, i, nu, chart.ctx_y,
                            extra_denominators=(nu + 1.0,))
@@ -336,8 +316,7 @@ def _symbolic_entries(chart: Chart, nu: float, m: int) -> tuple:
     return tuple(rows)
 
 
-def _numeric_entries(chart: Chart, nu: float, m: int, point,
-                     h0: float, levels: int) -> tuple:
+def _numeric_entries(chart: Chart, nu: float, point, h0: float, levels: int) -> tuple:
     atil = chart.ctx_y.initial_points
     whole = snap_int(nu)
     scale = rgamma(nu + 1.0)
@@ -375,12 +354,12 @@ def jacobian(chart: Chart, nu: float, point: Sequence[float] | None = None,
             raise UnsupportedError(
                 f"chart {chart.name!r} has black-box forward maps; "
                 "pass a point for numeric entries")
-        return JacobianMatrix(_symbolic_entries(chart, nu, m), nu, m,
+        return JacobianMatrix(_symbolic_entries(chart, nu), nu, m,
                               chart, "symbolic")
     point = tuple(float(v) for v in point)
     if len(point) != chart.n:
         raise ValueError(f"point has {len(point)} coordinates, chart has {chart.n}")
-    return JacobianMatrix(_numeric_entries(chart, nu, m, point, h0, levels),
+    return JacobianMatrix(_numeric_entries(chart, nu, point, h0, levels),
                           nu, m, chart, "numeric", point)
 
 
@@ -434,23 +413,26 @@ def transform_form(A: Form, J: JacobianMatrix) -> Form:
     if abs(nu - J.nu) > EXP_TOL:
         raise ValueError(f"form order {nu} != matrix order {J.nu}")
     comps = [A.component(k, chart.ctx_x.n) for k in range(chart.n)]
-    terms: dict[WedgeWord, Expr] = {}
     if J.mode == "numeric":
         x_pt = chart.x_of(J.point)
-        cvals = [eval_expr(c, chart.ctx_x, x_pt) for c in comps]
-        for i in range(chart.n):
-            coeff = math.fsum(cvals[k] * J.entries[k][i] for k in range(chart.n))
-            word = WedgeWord((DiffFactor(i, nu),))
-            terms[word] = Expr.constant(coeff, chart.n)
+        comps = [eval_expr(c, chart.ctx_x, x_pt) for c in comps]
     else:
-        composed = [_compose_monomial(c, chart) for c in comps]
-        for i in range(chart.n):
-            coeff = Expr.zero(chart.n)
-            for k in range(chart.n):
-                coeff = coeff + composed[k] * J.entries[k][i]
-            word = WedgeWord((DiffFactor(i, nu),))
-            terms[word] = coeff
+        comps = [_compose_monomial(c, chart) for c in comps]
+    terms: dict[WedgeWord, Expr] = {}
+    for i, column in enumerate(zip(*J.entries)):
+        coeff = _dot(comps, column, chart.n)
+        terms[WedgeWord((DiffFactor(i, nu),))] = (
+            coeff if isinstance(coeff, Expr) else Expr.constant(coeff, chart.n))
     return Form(1, nu, terms)
+
+
+def _dot(xs: Sequence, ys: Sequence, n: int):
+    """sum_k xs[k] * ys[k]: ``math.fsum`` over floats, the left-fold sum over
+    Exprs (of n coordinates)."""
+    products = [x * y for x, y in zip(xs, ys)]
+    if isinstance(products[0], Expr):
+        return sum(products, Expr.zero(n))
+    return math.fsum(products)
 
 
 def inverse_residual(chart: Chart, nu: float, point: Sequence[float],
@@ -461,21 +443,28 @@ def inverse_residual(chart: Chart, nu: float, point: Sequence[float],
     identity at nu=1 and for single-coordinate charts, and the returned
     matrix measures how far other cases drift.
     """
-    fwd = _matrix_at(chart, nu, point, h0, levels)
-    x_pt = chart.x_of(point)
-    rev = _matrix_at(chart.reversed(), nu, x_pt, h0, levels)
-    prod = fwd @ rev
-    return prod - np.eye(chart.n)
+    fwd = chart_matrix(jacobian, chart, nu, point, h0=h0, levels=levels)
+    rev = chart_matrix(jacobian, chart.reversed(), nu, chart.x_of(point),
+                       h0=h0, levels=levels)
+    return fwd.as_array() @ rev.as_array() - np.eye(chart.n)
 
 
-def _matrix_at(chart: Chart, nu: float, point, h0: float, levels: int) -> np.ndarray:
-    if chart.is_symbolic:
+def chart_matrix(builder: Callable, chart: Chart, nu: float,
+                 point: Sequence[float] | None = None, numeric: bool = False,
+                 h0: float = 1e-3, levels: int = 3) -> ChartMatrix:
+    """``builder`` (:func:`jacobian` or :func:`metric`) of the chart at order
+    nu: symbolic entries, evaluated at ``point`` if given, where the chart
+    allows them and ``numeric`` is off; else numeric entries at ``point``."""
+    if not numeric and chart.is_symbolic:
         try:
-            return np.asarray(
-                jacobian(chart, nu).evaluate(point).entries, dtype=np.float64)
+            mat = builder(chart, nu)
+            return mat if point is None else mat.evaluate(point)
         except UnsupportedError:
-            pass
-    return jacobian(chart, nu, point, h0, levels).as_array()
+            if point is None:
+                raise
+    if point is None:
+        raise ValueError(f"chart {chart.name!r} needs a point for numeric entries")
+    return builder(chart, nu, point, h0, levels)
 
 
 class MetricMatrix(ChartMatrix):
@@ -487,26 +476,20 @@ def metric(chart: Chart, nu: float, point: Sequence[float] | None = None,
     """Fractional metric from the transformation matrix at order nu."""
     J = jacobian(chart, nu, point, h0, levels)
     n = chart.n
+    columns = list(zip(*J.entries))
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            if J.mode == "numeric":
-                val = math.fsum(J.entries[k][i] * J.entries[k][j] for k in range(n))
-            else:
-                val = Expr.zero(n)
-                for k in range(n):
-                    val = val + J.entries[k][i] * J.entries[k][j]
-            rows[i][j] = val
-            rows[j][i] = val
+            rows[i][j] = rows[j][i] = _dot(columns[i], columns[j], n)
     return MetricMatrix(tuple(tuple(r) for r in rows), J.nu, J.m, chart,
                         J.mode, J.point)
 
 
-def line_element(g: MetricMatrix, dy: Sequence[float], nu: float) -> float:
+def line_element(g: MetricMatrix, dy: Sequence[float]) -> float:
     """Quadratic-form square root sqrt(sum_ij g_ij dy_i dy_j).
 
-    ``dy`` supplies the order-nu displacement components as plain reals; the
-    engine assigns them no further meaning.
+    ``dy`` supplies the displacement components at the metric's order as
+    plain reals; the engine assigns them no further meaning.
     """
     arr = g.as_array()
     v = np.asarray(dy, dtype=np.float64)

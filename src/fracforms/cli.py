@@ -19,6 +19,7 @@ import numpy as np
 from .analysis import is_closed, solve_exact
 from .charts import (
     alpha_k,
+    chart_matrix,
     format_matrix,
     get_chart,
     inverse_residual,
@@ -211,19 +212,10 @@ def _chart_point(args):
 
 
 def _chart_matrix(args, builder):
-    """Symbolic entries when the chart allows it (evaluated at --point if
-    given), GL/central-difference numerics otherwise or under --numeric."""
     chart, point = _chart_point(args)
-    if not getattr(args, "numeric", False) and chart.is_symbolic:
-        try:
-            mat = builder(chart, args.order)
-            return (mat.evaluate(point) if point is not None else mat), chart, point
-        except UnsupportedError:
-            if point is None:
-                raise
-    if point is None:
-        raise ValueError(f"chart {chart.name!r} needs --point for numeric entries")
-    return builder(chart, args.order, point, h0=args.h, levels=args.levels), chart, point
+    mat = chart_matrix(builder, chart, args.order, point, args.numeric,
+                       h0=args.h, levels=args.levels)
+    return mat, chart, point
 
 
 def _matrix_lines(mat) -> list[str]:
@@ -261,7 +253,7 @@ def cmd_lineelement(args) -> int:
         raise ValueError("lineelement needs --point")
     g, chart, point = _chart_matrix(args, metric)
     dy = _split_floats(args.dy)
-    ds = line_element(g, dy, args.order)
+    ds = line_element(g, dy)
     _emit(args, [_fmt(ds)], {"ds": ds, "nu": args.order,
                              "point": list(point), "dy": list(dy)})
     return 0

@@ -1,8 +1,9 @@
 """Numeric differintegration of black-box scalar functions.
 
 This is the independent check on every symbolic result, and the evaluation
-path for charts whose maps fall outside the power-product class.  The scheme
-is the backward Grunwald-Letnikov sum
+path of numeric chart entries: :mod:`fracforms.charts` evaluates a chart's
+Expr forward maps through :func:`expr_evaluable`, never through the symbolic
+evaluator.  The scheme is the backward Grunwald-Letnikov sum
 
     D^q f(x)  ~  h^(-q) * sum_{k=0..N} (-1)^k binom(q, k) f(x - k h),
 
@@ -10,6 +11,10 @@ first-order accurate in h, optionally sharpened by Richardson extrapolation
 assuming the leading error is O(h).  Functions with an integrable endpoint
 singularity (for example t^(-1/2) integrated from 0) are sampled starting at
 a + h: the endpoint node is dropped when the function is not finite there.
+
+Extrapolation has one table, :func:`richardson_table`, over a list of error
+exponents at step ratio 2: :func:`richardson` passes 1, 2, 3, ... and the
+central differences of :mod:`fracforms.charts` pass 2, 4, 6.
 
 A Richardson call samples f once, on its finest grid, and computes the GL
 weights once: the coarser grids are strided slices of those samples (their
@@ -106,6 +111,24 @@ def gl_deriv(f: Callable, q: float, x: float, a: float = 0.0, h: float = 1e-4) -
     return _gl_levels(f, float(q), float(x), float(a), steps, 1)[0]
 
 
+def richardson_table(values: Sequence[float], exponents: Sequence[float]) -> list[list[float]]:
+    """Richardson table of values computed at steps h, h/2, h/4, ...
+
+    Row l holds ``values[l]`` and its extrapolants; column j removes the
+    error term h^exponents[j-1] from the column before it, so the table
+    needs ``len(values) - 1`` exponents.  ``rows[-1][-1]`` is the most
+    extrapolated value.
+    """
+    rows: list[list[float]] = []
+    for lvl, plain in enumerate(values):
+        row = [plain]
+        for j in range(1, lvl + 1):
+            factor = 2.0 ** exponents[j - 1]
+            row.append((factor * row[j - 1] - rows[lvl - 1][j - 1]) / (factor - 1.0))
+        rows.append(row)
+    return rows
+
+
 class RichardsonResult(NamedTuple):
     """Extrapolated value with a first-omitted-column error estimate."""
 
@@ -129,13 +152,8 @@ def richardson(f: Callable, q: float, x: float, a: float = 0.0, h0: float = 1e-4
     if not x > a:
         raise ValueError(f"evaluation point must sit above the initial point ({x} <= {a})")
     steps0 = max(MIN_STEPS, int(round((x - a) / h0)))
-    rows: list[list[float]] = []
-    for lvl, plain in enumerate(_gl_levels(f, float(q), float(x), float(a), steps0, levels)):
-        row = [plain]
-        for j in range(1, lvl + 1):
-            factor = 2.0 ** j
-            row.append((factor * row[j - 1] - rows[lvl - 1][j - 1]) / (factor - 1.0))
-        rows.append(row)
+    plain = _gl_levels(f, float(q), float(x), float(a), steps0, levels)
+    rows = richardson_table(plain, range(1, levels))
     value = rows[-1][-1]
     estimate = abs(rows[-1][-1] - rows[-1][-2])
     diag_step = abs(rows[-1][-1] - rows[-2][-1])

@@ -9,8 +9,9 @@ annihilated exactly when p - q + 1 lands on a non-positive integer (the
 reciprocal-gamma zero); that is how whole orders reproduce the classical
 derivative, kernel basis elements map to zero, and so on.
 
-Whole orders take a falling/rising-factorial fast path so that order-1 and
-order-2 results are bit-identical to :func:`fracforms.symbolic.classical_derivative`.
+A whole order k >= 0 is :func:`fracforms.symbolic.classical_derivative`
+itself, so its results are bit-identical to it at every such order; a whole
+k < 0 takes the exact rising-factorial product.
 """
 
 from __future__ import annotations
@@ -39,15 +40,7 @@ from .tolerances import EXP_TOL
 
 
 def _whole_order_factor(p: float, k: int) -> float:
-    """gamma(p+1)/gamma(p-k+1) for whole k, as an exact factor product."""
-    if k >= 0:
-        acc = 1.0
-        for i in range(k):
-            f = p - i
-            if abs(f) <= EXP_TOL:
-                return 0.0
-            acc *= f
-        return acc
+    """gamma(p+1)/gamma(p-k+1) for whole k < 0, as an exact factor product."""
     acc = 1.0
     for i in range(1, -k + 1):
         acc *= p + i
@@ -74,6 +67,9 @@ def power_rule_map(e: Expr, coord: int, q: float, ctx: Context,
         )
     k = snap_int(q)
     if k is not None and not extra_denominators:
+        if k >= 0:
+            return classical_derivative(e, coord, k)
+
         def factor(x):
             return _whole_order_factor(x, k)
     else:

@@ -641,16 +641,17 @@ def print_expr(e: Expr, ctx: Context, digits: int | None = None) -> str:
 
 # --- evaluation and classical calculus -------------------------------------
 
-def term_values(e: Expr, ctx: Context, point: Sequence, strict: bool = True) -> list:
-    """Value of each term of ``e`` at ``point``, in term order.
+def term_values(e: Expr, ctx: Context, point: Sequence[float]) -> list[float]:
+    """Value of each term of ``e`` at the float coordinates ``point``, in
+    term order.
 
-    The one evaluator of power products.  An exponent within ``EXP_TOL`` of
-    a whole number is taken as that whole power, so a negative base is
-    allowed under it.  With ``strict`` the coordinates are floats and a
-    non-integer power of a non-positive base, or a zero base under a negative
-    exponent, raises :class:`EvalDomainError`.  Otherwise the coordinates may
-    be numpy arrays that broadcast together, evaluated elementwise, and such
-    entries come out nan or inf (numpy warns unless the caller silences it).
+    The one evaluator of power products on the symbolic path.  An exponent
+    within ``EXP_TOL`` of a whole number is taken as that whole power, so a
+    negative base is allowed under it.  A non-integer power of a
+    non-positive base, or a zero base under a negative exponent, raises
+    :class:`EvalDomainError`.  Array evaluation, where such entries become
+    nan for the quadrature to police, is the oracle's
+    :func:`fracforms.oracle.expr_evaluable`.
     """
     a = ctx.initial_points
     vals = []
@@ -660,18 +661,15 @@ def term_values(e: Expr, ctx: Context, point: Sequence, strict: bool = True) -> 
             if p == 0.0:
                 continue
             k = snap_int(p)
-            if strict:
-                base = float(point[i]) - a[i]
-                if base == 0.0 and p < 0:
-                    raise EvalDomainError(
-                        f"({ctx.names[i]} - a) is zero under a negative exponent"
-                    )
-                if k is None and base <= 0.0:
-                    raise EvalDomainError(
-                        f"({ctx.names[i]} - a) = {base} is not positive under exponent {p}"
-                    )
-            else:
-                base = np.asarray(point[i], dtype=np.float64) - a[i]
+            base = float(point[i]) - a[i]
+            if base == 0.0 and p < 0:
+                raise EvalDomainError(
+                    f"({ctx.names[i]} - a) is zero under a negative exponent"
+                )
+            if k is None and base <= 0.0:
+                raise EvalDomainError(
+                    f"({ctx.names[i]} - a) = {base} is not positive under exponent {p}"
+                )
             v = v * base ** (p if k is None else k)
         vals.append(v)
     return vals

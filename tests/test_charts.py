@@ -6,6 +6,7 @@ floating point.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from fracforms import (
     rl_deriv,
     transform_form,
 )
+from fracforms import symbolic
 from fracforms.charts import format_matrix, polar_radial_closed_form
 
 X1 = Context.of(("x",))
@@ -212,6 +214,24 @@ def test_numeric_mode_matches_symbolic_for_scaling():
     assert np.allclose(num, sym, rtol=1e-6)
 
 
+def test_numeric_entries_of_expr_charts_do_not_call_the_symbolic_evaluator(monkeypatch):
+    chart = get_chart("scale:3")
+    sym = jacobian(chart, 0.5).evaluate((1.0,)).as_array()
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the numeric chart path called symbolic.term_values")
+
+    # every module's binding of the evaluator, not just the defining one
+    evaluator = symbolic.term_values
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fracforms") and getattr(module, "term_values", None) is evaluator:
+            monkeypatch.setattr(module, "term_values", boom)
+    # the default h0 = 1e-3 misses by 1.5e-7: an h^1.5 error term that the
+    # integer-exponent extrapolation does not remove
+    num = jacobian(chart, 0.5, (1.0,), h0=1e-4).as_array()
+    assert np.max(np.abs(num - sym)) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # inverse composition
 
@@ -284,7 +304,7 @@ def test_metric_is_exactly_symmetric():
 
 def test_identity_metric_line_element():
     g = metric(get_chart("identity", n=2), 1.0, point=(1.0, 1.0))
-    assert line_element(g, (3.0, 4.0), 1.0) == pytest.approx(5.0, rel=1e-12)
+    assert line_element(g, (3.0, 4.0)) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_scaling_metric_symbolic():
@@ -296,7 +316,7 @@ def test_scaling_metric_symbolic():
 def test_line_element_rejects_negative_quadratic_form():
     bad = MetricMatrix(((-1.0,),), 0.5, 1, get_chart("scale:2"), "numeric", (1.0,))
     with pytest.raises(NegativeQuadraticFormError):
-        line_element(bad, (1.0,), 0.5)
+        line_element(bad, (1.0,))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from fracforms import (Context, exprs_close, form_from_json, frac_exterior_deriv, forms_close,
                        parse_expr)
+from fracforms.charts import polar_radial_closed_form
 from fracforms.cli import infer_coords, main
 
 
@@ -252,6 +253,23 @@ def test_metric_scaling(capsys):
     code, out, _ = run(capsys, "metric", "--chart", "scale:3", "--order", "0.5")
     assert code == 0
     assert out == "[[3]]"
+
+
+def test_metric_polar_fractional_is_numeric_at_the_point(capsys):
+    code, out, _ = run(capsys, "metric", "--chart", "polar", "--order", "0.5",
+                       "--point", "2,0.7", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["mode"] == "numeric"
+    want = sum(polar_radial_closed_form(k, 0.5, 2.0, 0.7) ** 2 for k in range(2))
+    assert payload["entries"][0][0] == pytest.approx(want, rel=2e-3)
+
+
+def test_metric_of_a_black_box_chart_needs_a_point(capsys):
+    code, out, err = run(capsys, "metric", "--chart", "polar", "--order", "0.5")
+    assert code == 3
+    assert out == ""
+    assert err == "domain error: chart 'polar' needs a point for numeric entries"
 
 
 def test_lineelement_euclidean(capsys):

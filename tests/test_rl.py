@@ -139,6 +139,16 @@ def test_whole_orders_match_classical(e, n):
     assert exprs_close(rl_deriv(e, "x", float(n), X), classical_derivative(e, 0, n), tol=1e-10)
 
 
+@given(st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=0.0, max_value=6.0),
+       st.floats(min_value=-0.5, max_value=3.0), st.integers(min_value=1, max_value=3))
+@settings(max_examples=200, deadline=None)
+def test_whole_orders_are_bit_identical_to_classical(c, p, p_y, n):
+    e = monomial(XY, c, {"x": p, "y": p_y})
+    got, want = rl_deriv(e, "x", float(n), XY), classical_derivative(e, 0, n)
+    assert [v.hex() for v in got.coeffs.tolist()] == [v.hex() for v in want.coeffs.tolist()]
+    assert got.exponents.tolist() == want.exponents.tolist()
+
+
 @given(safe_exprs(), st.integers(min_value=1, max_value=2), orders)
 @settings(max_examples=200, deadline=None)
 def test_classical_after_fractional_composes(e, n, q):

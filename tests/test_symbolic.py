@@ -124,6 +124,8 @@ def _ref_canonicalize(terms, n):
 
 def _ref_power_rule(terms, n, coord, q, extra=()):
     k = snap_int(q)
+    if k is not None and k >= 0 and not extra:
+        return _ref_classical_derivative(terms, n, coord, k)
     out = []
     for c, t_exps in terms:
         p = t_exps[coord]
@@ -218,7 +220,7 @@ def test_product_bit_identical_to_double_loop(a_terms, b_terms):
        st.sampled_from([(), (1.5,), (2.0, 0.7)]), st.integers(min_value=0, max_value=1))
 # shifts after which the arrays are no longer canonical:
 @example([_term(1.0, (1.5 + 1e-10, 0.0)), _term(2.0, (1.5 + 6e-10, 0.0))],
-         1.0 + 4e-10, (), 0)  # two keys tie, so the terms merge
+         1.0 + 4e-10, (1.5,), 0)  # two keys tie, so the terms merge
 @example([_term(1.0, (0.5 + 4e-10, 1.0)), _term(2.0, (0.5 - 4e-10, 2.0))],
          0.3 + 5e-10, (), 0)  # one key splits, so the terms swap
 @example([_term(1.0, (1.0, 0.5 + 4e-10)), _term(1.0, (1.0, 1.5))],
