@@ -257,7 +257,8 @@ def parse_form(text: str, ctx: Context) -> Form:
     """Parse a form literal; a bare expression is a grade-0 form.
 
     The terms of one wedge word are summed and canonicalized once, as
-    :func:`fracforms.symbolic.parse_expr` sums an expression.
+    :func:`fracforms.symbolic.parse_expr` sums an expression, and each
+    distinct wedge is put in canonical order once.
     """
     coeffs, rows, factors = scan_terms(text, ctx.index, ctx.n, DiffFactor)
     grades = {len(fs) for fs in factors}
@@ -265,9 +266,14 @@ def parse_form(text: str, ctx: Context) -> Form:
         raise ParseError("every term of a form must carry the same number of differentials")
     grade = grades.pop()
     words: dict[WedgeWord, list] = {}
+    # scan_terms shares one tuple between the terms of one wedge text
+    canon: dict[tuple, tuple[int, WedgeWord | None]] = {}
     total_order = None
     for c, row, fs in zip(coeffs, rows, factors):
-        sign, word = canonical_word(fs)
+        sw = canon.get(fs)
+        if sw is None:
+            sw = canon[fs] = canonical_word(fs)
+        sign, word = sw
         if word is None:
             continue
         if total_order is None:

@@ -45,7 +45,13 @@ MIN_STEPS = 10
 
 
 def _sample(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
-    """Evaluate f on the node array, vectorized when the callable allows it."""
+    """Evaluate f on the node array, vectorized when the callable allows it.
+
+    Otherwise f is called node by node, and a node where it raises an
+    arithmetic, value or type error (a float power of a negative base is a
+    complex, which ``float`` rejects) samples as nan; any other exception
+    propagates.
+    """
     try:
         with np.errstate(all="ignore"):
             vals = np.asarray(f(nodes), dtype=np.float64)
@@ -59,7 +65,7 @@ def _sample(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndar
         for i, t in enumerate(nodes):
             try:
                 out[i] = float(f(float(t)))
-            except Exception:
+            except (ArithmeticError, ValueError, TypeError):
                 out[i] = np.nan
         return out
 

@@ -23,7 +23,8 @@ A term needs a number right after a leading sign, so ``-x`` is rejected and
 ``-1*x`` is read.  In a form, ``d(`` opens a differential unless it follows
 ``*``; a literal with no wedge is a grade-0 form, and a dangling ``&`` at the
 end of a wedge is ignored.  The grammar has no nesting, so one regular
-expression reads a whole term.
+expression validates a whole term; :func:`scan_terms` then reads each
+distinct factor and wedge text of the call once.
 
 An :class:`Expr` over n coordinates holds its m terms as two read-only
 float64 arrays: the coefficient vector ``coeffs`` of shape (m,) and the
@@ -503,11 +504,10 @@ def monomial(ctx: Context, coeff: float, powers: dict[int | str, float] | None =
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _SIGNED = rf"[-+]?\s*{_NUM}"
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
-_FACTOR = rf"({_NAME})(?:\s*\^\s*({_SIGNED}))?"
-_DIFF = rf"d\s*\(\s*({_NAME})\s*,\s*({_SIGNED})\s*\)"
-_FACTOR_RE = re.compile(_FACTOR)
-# error path only, compiled on first use: the start of a differential, and
-# one token at a time with group 1 the first character no token starts with
+_FACTOR = rf"{_NAME}(?:\s*\^\s*{_SIGNED})?"
+_DIFF = rf"d\s*\(\s*{_NAME}\s*,\s*{_SIGNED}\s*\)"
+# error path only, compiled on first use: a differential cut short, and one
+# token at a time with group 1 the first character no token starts with
 _DIFF_HEAD = rf"d\s*\(\s*({_NAME})?"
 _TOKEN = rf"\s*(?:{_NUM}|{_NAME}|[-+*^(),&]|(\S))"
 
@@ -523,14 +523,31 @@ def _term_re(form: bool) -> re.Pattern:
         rf"(?P<wedge>(?:{wedge})?))\s*(?P<sep>[-+])?")
 
 
-_EXPR_TERM = _term_re(False)
+@functools.cache
+def _expr_patterns() -> re.Pattern:
+    """The expression-term pattern, compiled when a text is first read, so
+    importing the package compiles no pattern."""
+    return _term_re(False)
 
 
 @functools.cache
-def _form_patterns() -> tuple[re.Pattern, re.Pattern]:
-    """The form-term and ``d(...)`` patterns, compiled when a form is first
-    read, so a process that reads only expressions never compiles them."""
-    return _term_re(True), re.compile(_DIFF)
+def _form_patterns() -> re.Pattern:
+    """The form-term pattern, compiled when a text holding ``d(`` is first
+    read as a form, so a process that reads only expressions never compiles
+    it."""
+    return _term_re(True)
+
+
+@functools.cache
+def _diff_start() -> re.Pattern:
+    return re.compile(r"d\s*\(")
+
+
+def _has_differential(text: str) -> bool:
+    """Does ``d(`` (whitespace allowed before the parenthesis) occur in the
+    text?  Only then can a form literal hold a differential; on any other
+    text the expression and form patterns match the same terms."""
+    return _diff_start().search(text) is not None
 
 
 def _number(text: str) -> float:
@@ -540,46 +557,58 @@ def _number(text: str) -> float:
 
 def scan_terms(text: str, index: Callable[[str], int], n: int,
                differential: Callable[[int, float], object] | None = None
-               ) -> tuple[list[float], list[list[float]], list[list]]:
+               ) -> tuple[list[float], list[list[float]], list[tuple]]:
     """Read an expression or, given ``differential``, a form literal.
 
     The one reader of the text grammar.  It returns three lists with one
     entry per term, in text order: the coefficients, the dense exponent rows
     of length ``n`` (``index`` maps a coordinate name to its column) and the
-    differentials, each built as ``differential(index(coord), order)`` (empty
-    for an expression).
+    differentials as a tuple, each built as ``differential(index(coord),
+    order)`` (empty for an expression).  Terms whose wedges are the same text
+    share one tuple.
+
+    One regular-expression match per term validates the text.  The factor
+    run and the wedge it matched are then cut at ``*`` and ``&``, and each
+    distinct factor text (``x2^0.75``) and wedge text is read once per call.
+    A form text in which no ``d(`` occurs is matched with the expression
+    pattern, which matches the same terms there.
 
     Errors come in the order of the text: a :class:`ParseError` where the
     text leaves the grammar, or whatever ``index`` or ``differential`` raise
     on an earlier factor.  A character no token starts with is reported
     before anything else.
     """
-    term_re, diff_re = (_EXPR_TERM, None) if differential is None else _form_patterns()
+    form = differential is not None and _has_differential(text)
+    term_re = _form_patterns() if form else _expr_patterns()
     coeffs, rows, diffs = [], [], []
-    # names and exponent texts repeat across terms: look each up once
-    cols: dict[str, int] = {}
-    powers = {"": 1.0}
+    # factor and wedge texts repeat across terms: each distinct text, as
+    # written, is read once
+    factors: dict[str, tuple[int, float]] = {}
+    wedges: dict[str, tuple] = {"": ()}
     pos, sign = 0, 1.0
     try:
         while True:
             m = term_re.match(text, pos)
-            body, coef, wedge, sep = m.group("body", "coef", "wedge", "sep")
+            body, coef, facs, lead, wedge, sep = m.group(
+                "body", "coef", "facs", "lead", "wedge", "sep")
             if not body:
                 break
+            # the pattern validated the run: "*" only separates factors
+            run = facs.split("*")[1:] if coef else lead.split("*") if lead else ()
             row = [0.0] * n
-            factors = _FACTOR_RE.findall(m.group("facs") or m.group("lead") or "")
-            for name, p in factors:
-                i = cols.get(name)
-                if i is None:  # an unknown name raises here, at its first use
-                    i = cols[name] = index(name)
-                v = powers.get(p)
-                if v is None:
-                    v = powers[p] = _number(p)
-                row[i] += v
+            for f in run:
+                read = factors.get(f)
+                if read is None:  # an unknown name raises here, at its first use
+                    name, caret, p = f.partition("^")
+                    read = factors[f] = (index(name.strip()), _number(p.strip()) if caret else 1.0)
+                row[read[0]] += read[1]
             coeffs.append(sign * _number(coef) if coef else sign)
             rows.append(row)
-            diffs.append([differential(index(name), _number(order))
-                          for name, order in diff_re.findall(wedge)] if wedge else [])
+            ws = wedges.get(wedge)
+            if ws is None:  # "&" only joins differentials; a dangling one is ignored
+                ws = wedges[wedge] = tuple([_differential(d, index, differential)
+                                            for d in wedge.split("&") if d.strip()])
+            diffs.append(ws)
             if sep is None:
                 if m.end() == len(text):
                     return coeffs, rows, diffs
@@ -588,15 +617,14 @@ def scan_terms(text: str, index: Callable[[str], int], n: int,
             pos = m.end()
         # reading stopped at j, inside the text
         j = m.end() if body else m.start("body")
-        head = (differential is not None and not wedge.endswith(")")
-                and re.compile(_DIFF_HEAD).match(text, j))
+        head = form and not wedge.endswith(")") and re.compile(_DIFF_HEAD).match(text, j)
         if head:  # a differential cut short names an unknown coordinate first
             if head.group(1):
                 index(head.group(1))
             raise ParseError("expected d(coordinate, order)", j)
         if not body:
             raise ParseError(f"expected a term, found {text[j:j + 1] or 'end of input'!r}", j)
-        if text[j] == "*" or (text[j] == "^" and factors and not factors[-1][1] and not wedge):
+        if text[j] == "*" or (text[j] == "^" and run and "^" not in run[-1] and not wedge):
             what = "a coordinate" if text[j] == "*" else "a number"
             raise ParseError(f"expected {what} after {text[j]!r}", j)
         if differential is None:  # an overflow in the terms read outranks trailing input
@@ -607,6 +635,13 @@ def scan_terms(text: str, index: Callable[[str], int], n: int,
             if tok.group(1):
                 raise ParseError(f"unexpected character {tok.group(1)!r}", tok.start()) from None
         raise
+
+
+def _differential(d: str, index: Callable[[str], int],
+                  differential: Callable[[int, float], object]) -> object:
+    """What the validated text ``d(coord, order)`` in ``d`` reads as."""
+    name, _, order = d.partition("(")[2].rpartition(")")[0].partition(",")
+    return differential(index(name.strip()), _number(order.strip()))
 
 
 def parse_expr(text: str, ctx: Context) -> Expr:

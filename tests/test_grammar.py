@@ -8,10 +8,11 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracforms
@@ -28,6 +29,7 @@ from fracforms import (
     parse_expr,
     parse_form,
 )
+from fracforms import symbolic
 from fracforms.cli import infer_coords, main
 from fracforms.tolerances import EXP_TOL
 
@@ -453,14 +455,19 @@ def test_form_differential_names_declared_coordinates(capsys):
 
 
 def test_form_patterns_compile_when_a_form_is_first_read():
-    # in a fresh process: importing fracforms, reading an expression and
-    # running a verb that reads no form text compile no form pattern
+    # in a fresh process: importing fracforms compiles no term pattern, and
+    # reading an expression, a verb that reads no form text and coordinate
+    # inference on an expression compile no form pattern
     code = "\n".join((
         "import fracforms",
         "from fracforms import cli, symbolic",
+        "assert symbolic._expr_patterns.cache_info().currsize == 0",
+        "assert symbolic._form_patterns.cache_info().currsize == 0",
         "ctx = fracforms.Context.of(('x',))",
         "fracforms.parse_expr('2*x^0.5 - x', ctx)",
+        "assert symbolic._expr_patterns.cache_info().currsize == 1",
         "assert cli.main(['deriv', 'x^2', '--var', 'x', '--order', '0.5', '--coords', 'x']) == 0",
+        "assert cli.main(['deriv', 'x^2', '--var', 'x', '--order', '0.5']) == 0",
         "assert symbolic._form_patterns.cache_info().currsize == 0",
         "fracforms.parse_form('x d(x,0.5)', ctx)",
         "assert symbolic._form_patterns.cache_info().currsize == 1",
@@ -471,6 +478,103 @@ def test_form_patterns_compile_when_a_form_is_first_read():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def outcome_or_error(read, text):
+    """What ``read(text)`` returns, or the type, message and position of its error."""
+    try:
+        return read(text)
+    except (ParseError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def form_pattern_names(text):
+    """Coordinate inference as a form read with the form pattern, whatever
+    the text holds."""
+    names = set()
+
+    def column(name):
+        names.add(name)
+        return 0
+
+    with mock.patch.object(symbolic, "_has_differential", lambda text: True):
+        symbolic.scan_terms(text, column, 1, lambda coord, order: None)
+    return tuple(sorted(names))
+
+
+def check_inference_reads_alike(text):
+    """On a text with no ``d(``, coordinate inference reads with the
+    expression pattern, and must give what a form read gives."""
+    if symbolic._has_differential(text):
+        return
+    assert outcome_or_error(infer_coords, text) == outcome_or_error(form_pattern_names, text), text
+
+
+@given(SEEDS, st.sampled_from(CONTEXTS), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_inference_reads_expressions_like_forms(seed, context, mutated):
+    rng = random.Random(seed)
+    text = make_text(rng, context[1], form=False)
+    check_inference_reads_alike(mutate(rng, text) if mutated else text)
+
+
+@pytest.mark.parametrize("text", [
+    "1e999*x )",  # an overflow does not outrank trailing input when inferring
+    "x^1e308*y^1e308 )",  # both names share inference's one column
+    "d^2*x - d*d", "x^", "2*x^2^3", "x*", "x ^ - 2 * y $", "", "d (",
+])
+def test_inference_reads_expressions_like_forms_examples(text):
+    check_inference_reads_alike(text)
+
+
+# ---------------------------------------------------------------------------
+# texts that repeat a few spellings: the keys of the scanner's per-call caches
+
+# each list ends with its rare spellings: an overflow or an unknown name, and
+# another order, a negative order or an unknown name
+FACTOR_SPELLINGS = ["{n}^2", "{n} ^ - 2", "{n}^2.0", "{n}*{n}", "{n}", "{n}^ 0.5", "{n}\t^\n+.5",
+                    "{n} ^ -  007  ", "{n}^1e999", "z^2"]
+DIFF_SPELLINGS = ["d({n},0.5)", "d ({n}, 0.5)", "d( {n} ,.5 )", "d({n} , 5e-1)", "d\n({n},+0.5)",
+                  "d({n},1)", "d({n},-0.5)", "d(z,0.5)"]
+
+
+def spelling(rng, spellings, names, rare):
+    """One spelling, one of the last ``rare`` ones with probability 1/20."""
+    k = len(spellings) - rare
+    pick = rng.choice(spellings[k:] if rng.random() < 0.05 else spellings[:k])
+    return pick.format(n=rng.choice(names))
+
+
+@st.composite
+def repeated_texts(draw):
+    """A context and a text of many terms drawn from a palette of two to four
+    factor spellings and, in a form, one to three wedge spellings."""
+    rng = random.Random(draw(SEEDS))
+    ctx, names = draw(st.sampled_from(CONTEXTS[:2]))
+    form = draw(st.booleans())
+    factors = [spelling(rng, FACTOR_SPELLINGS, names, 2) for _ in range(rng.randrange(2, 5))]
+    grade = rng.randrange(1, 3)
+    wedges = [f"{ws(rng)}&{ws(rng)}".join(spelling(rng, DIFF_SPELLINGS, names, 3) for _ in range(grade))
+              for _ in range(rng.randrange(1, 4))]
+    parts = []
+    for i in range(rng.randrange(5, 40)):
+        facs = rng.sample(factors, rng.randrange(1, len(factors) + 1))
+        if rng.random() < 0.5:
+            facs.insert(0, signed(rng))
+        term = f"{ws(rng)}*{ws(rng)}".join(facs)
+        if form:
+            term += rng.choice([" ", "  ", "\t"]) + rng.choice(wedges)
+        parts.append((f"{ws(rng)}{rng.choice('+-')}{ws(rng)}" if i else "") + term)
+    text = ws(rng) + "".join(parts) + ws(rng)
+    return ctx, mutate(rng, text) if rng.random() < 0.3 else text
+
+
+@given(repeated_texts())
+@example((XY, "-  618368.9966753316\t*\n y\n ^\n -  007  *x"))
+@settings(max_examples=300, deadline=None)
+def test_repeated_spellings_match_recursive_descent_parser(case):
+    ctx, text = case
+    check_against_reference(text, ctx)
 
 
 # ---------------------------------------------------------------------------

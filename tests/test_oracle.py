@@ -128,6 +128,31 @@ def test_interior_singularity_rejected():
         gl_deriv(f, 0.5, 1.0, 0.0, h=1e-3)
 
 
+def test_a_programming_error_in_the_integrand_propagates():
+    # only arithmetic, value and type errors mark a node undefined
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        assert False, "a bug"
+
+    with pytest.raises(AssertionError, match="a bug"):
+        richardson(f, 0.5, 1.0, 0.0, h0=1e-3, levels=3)
+    assert len(calls) == 2  # the vectorized call, then the first node
+
+
+def test_scalar_integrand_domain_failures_sample_as_nan():
+    # math.sqrt raises ValueError below 0, a float power of a negative base is
+    # complex (TypeError in float()), and 1/0 raises ZeroDivisionError: the
+    # initial-point node is dropped for each, an interior one is rejected
+    for f in (lambda t: math.sqrt(t) if t > 0 else math.sqrt(-1.0),
+              lambda t: float(t) ** 0.5 if t > 0 else (-1.0) ** 0.5,
+              lambda t: 1.0 / float(t) ** -0.5):
+        assert math.isfinite(richardson(f, 0.5, 1.0, 0.0, h0=1e-3, levels=2).value)
+    with pytest.raises(QuadratureDomainError):
+        richardson(lambda t: math.sqrt(t - 0.5), 0.5, 1.0, 0.0, h0=1e-3, levels=2)
+
+
 # ---------------------------------------------------------------------------
 # Richardson extrapolation
 
