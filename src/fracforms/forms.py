@@ -25,7 +25,6 @@ from .rl import rl_deriv
 from .symbolic import (
     Context,
     Expr,
-    canonicalize,
     exprs_close,
     fmt_number,
     is_zero,
@@ -121,7 +120,6 @@ class Form:
                 word = WedgeWord((DiffFactor(word.factors[0].coord, total_order),))
             if word in cleaned:  # two grade-1 words that now share the form's order
                 coeff = cleaned.pop(word) + coeff
-            coeff = canonicalize(coeff)
             if len(coeff.coeffs):
                 cleaned[word] = coeff
         self.grade = grade
@@ -256,7 +254,7 @@ def frac_exterior_deriv(a: Form | Expr, nu: float, ctx: Context) -> Form:
 def parse_form(text: str, ctx: Context) -> Form:
     """Parse a form literal; a bare expression is a grade-0 form.
 
-    The terms of one wedge word are summed and canonicalized once, as
+    The terms of one wedge word are summed once, as
     :func:`fracforms.symbolic.parse_expr` sums an expression, and each
     distinct wedge is put in canonical order once.
     """

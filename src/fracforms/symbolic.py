@@ -29,8 +29,10 @@ distinct factor and wedge text of the call once.
 An :class:`Expr` over n coordinates holds its m terms as two read-only
 float64 arrays: the coefficient vector ``coeffs`` of shape (m,) and the
 exponent matrix ``exponents`` of shape (m, n), and nothing else.  The
-operators work on those arrays directly; ``Expr(coeffs, exponents, n)`` is
-the one constructor that wraps them.
+operators work on those arrays directly.  Every ``Expr`` is canonical from
+the moment it exists: ``Expr(coeffs, exponents, n)`` merges the rows it is
+given, and the module's own operators wrap only arrays that are already
+canonical.
 
 Canonicalization snaps exponents within ``EXP_TOL`` (1e-9) of 0 to 0,
 merges terms whose exponent vectors have the same merge key (the exponent
@@ -43,17 +45,15 @@ coefficients in input order (first + second + ...), and each merged exponent
 is, per coordinate, the last one in input order among those closest to the
 key.  The result does not depend on how the merge is carried out: the
 vectorized merge used for larger expressions and the loop used for small ones
-give the same doubles.  A canonical expression carries a mark, so
-canonicalizing it again returns the same object.  The sum of two canonical
-expressions with more than ``_SMALL_MERGE`` terms between them merges their
-two sorted runs (:func:`_merge_runs`), where a key holds at most two terms,
-one from each side, and gets the same doubles again.
+give the same doubles.  A sum with more than ``_SMALL_MERGE`` terms between
+its two sides merges their two sorted runs (:func:`_merge_runs`), where a key
+holds at most two terms, one from each side, and gets the same doubles again.
 
-Shifting one exponent column of a canonical expression of two or more terms,
-as the power rule and the classical derivative do, runs no merge when the
-shift keeps every key comparison in that column, snaps no exponent and drops
-no coefficient (:func:`shift_column`): the shifted arrays are then already
-what canonicalization would return, and are marked canonical as they are.
+Shifting one exponent column of an expression of two or more terms, as the
+power rule and the classical derivative do, runs no merge when the shift
+keeps every key comparison in that column, snaps no exponent and drops no
+coefficient (:func:`shift_column`): the shifted arrays are then already what
+the merge would return.
 """
 
 from __future__ import annotations
@@ -184,32 +184,24 @@ class Expr:
     """Finite sum of power products as a coefficient vector ``coeffs`` of
     shape (m,) and an exponent matrix ``exponents`` of shape (m, n).
 
-    ``Expr(coeffs, exponents, n)`` wraps float64 arrays as they are and makes
-    them read-only; the caller must not write to the memory they view
-    afterwards.  It checks their type and shapes (``TypeError`` unless both
-    are float64 numpy arrays, ``ValueError`` unless ``coeffs`` is 1-D and
-    ``exponents`` has shape (len(coeffs), n)), but not their values, and
-    leaves the result uncanonicalized unless ``canonical`` says the arrays
-    already are; :meth:`make`, :meth:`constant` and :meth:`zero` build
-    canonical expressions from values.
+    ``Expr(coeffs, exponents, n)`` checks the arrays' type and shapes
+    (``TypeError`` unless both are float64 numpy arrays, ``ValueError``
+    unless ``coeffs`` is 1-D and ``exponents`` has shape (len(coeffs), n)),
+    then canonicalizes their rows, as :meth:`make` does for values.  The
+    result's arrays are read-only; when they are the ones passed in, the
+    caller must not write to the memory they view afterwards.
     """
 
-    __slots__ = ("coeffs", "exponents", "n", "_canonical")
+    __slots__ = ("coeffs", "exponents", "n")
 
-    def __init__(self, coeffs: np.ndarray, exponents: np.ndarray, n: int,
-                 canonical: bool = False):
+    def __new__(cls, coeffs: np.ndarray, exponents: np.ndarray, n: int):
         if not (isinstance(coeffs, np.ndarray) and isinstance(exponents, np.ndarray)
                 and coeffs.dtype == _F64 and exponents.dtype == _F64):
             raise TypeError("Expr takes float64 numpy arrays")
         if coeffs.ndim != 1 or exponents.shape != (len(coeffs), n):
             raise ValueError(f"Expr needs coefficients of shape (m,) and exponents of shape "
                              f"(m, {n}), got {coeffs.shape} and {exponents.shape}")
-        coeffs.setflags(write=False)
-        exponents.setflags(write=False)
-        self.coeffs = coeffs
-        self.exponents = exponents
-        self.n = n
-        self._canonical = canonical
+        return _merged(coeffs, exponents, n)
 
     @property
     def terms(self) -> _TermView:
@@ -235,11 +227,11 @@ class Expr:
                 f"exponents={self.exponents.tolist()!r}, n={self.n!r})")
 
     def __reduce__(self):
-        return (Expr, (self.coeffs, self.exponents, self.n, self._canonical))
+        return (_wrap, (self.coeffs, self.exponents, self.n))
 
     @classmethod
     def zero(cls, n: int) -> "Expr":
-        return cls(np.empty(0), np.empty((0, n)), n, canonical=True)
+        return _wrap(np.empty(0), np.empty((0, n)), n)
 
     @classmethod
     def constant(cls, c: float, n: int) -> "Expr":
@@ -248,7 +240,7 @@ class Expr:
             raise ValueError("term coefficient must be finite")
         if abs(c) < COEFF_DROP:
             return cls.zero(n)
-        return cls(np.array([c]), np.zeros((1, n)), n, canonical=True)
+        return _wrap(np.array([c]), np.zeros((1, n)), n)
 
     @classmethod
     def make(cls, pairs: Iterable[tuple[float, Sequence[float]]], n: int) -> "Expr":
@@ -262,9 +254,8 @@ class Expr:
         return _merged(coeffs, exps, n)
 
     def take(self, keep: np.ndarray) -> "Expr":
-        """The terms where the boolean mask ``keep`` is true, in order; a
-        subset of a canonical expression is canonical."""
-        return Expr(self.coeffs[keep], self.exponents[keep], self.n, self._canonical)
+        """The terms where the boolean mask ``keep`` is true, in order."""
+        return _wrap(self.coeffs[keep], self.exponents[keep], self.n)
 
     def _check(self, other: "Expr"):
         if self.n != other.n:
@@ -277,19 +268,19 @@ class Expr:
             return NotImplemented
         self._check(other)
         if not len(other.coeffs):
-            return canonicalize(self)
+            return self
         if not len(self.coeffs):
-            return canonicalize(other)
+            return other
         coeffs = np.concatenate((self.coeffs, other.coeffs))
         exps = np.concatenate((self.exponents, other.exponents))
-        if self._canonical and other._canonical and len(coeffs) > _SMALL_MERGE:
-            return Expr(*_merge_runs(coeffs, exps), self.n, canonical=True)
+        if len(coeffs) > _SMALL_MERGE:
+            return _wrap(*_merge_runs(coeffs, exps), self.n)
         return _merged(coeffs, exps, self.n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr(-self.coeffs, self.exponents, self.n, self._canonical)
+        return _wrap(-self.coeffs, self.exponents, self.n)
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
@@ -304,13 +295,11 @@ class Expr:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             coeffs = self.coeffs * float(other)
-            if self._canonical:
-                # scaling keeps keys and order; only the drop can change
-                if not np.isfinite(coeffs).all():
-                    raise ValueError("term coefficient must be finite")
-                keep = np.abs(coeffs) >= COEFF_DROP
-                return Expr(coeffs[keep], self.exponents[keep], self.n, True)
-            return _merged(coeffs, self.exponents, self.n)
+            # scaling keeps keys and order; only the drop can change
+            if not np.isfinite(coeffs).all():
+                raise ValueError("term coefficient must be finite")
+            keep = np.abs(coeffs) >= COEFF_DROP
+            return _wrap(coeffs[keep], self.exponents[keep], self.n)
         if not isinstance(other, Expr):
             return NotImplemented
         self._check(other)
@@ -453,42 +442,45 @@ def _merge_runs(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, 
 
 
 def canonicalize(e: Expr) -> Expr:
-    """Merge like terms, drop negligible ones, sort; idempotent.
+    """``e`` itself, as every :class:`Expr` is canonical.  Kept only because
+    the benchmark under ``perfbench/`` traces it by name; it goes with the
+    benchmark change of ROADMAP item 5."""
+    return e
 
-    Raises ``ValueError`` ("term coefficient must be finite" or "term
-    exponent must be finite") when a coefficient or exponent, or a merged
-    coefficient, is not finite.
-    """
-    if e._canonical:
-        return e
-    return _merged(e.coeffs, e.exponents, e.n)
+
+def _wrap(coeffs: np.ndarray, exponents: np.ndarray, n: int) -> Expr:
+    """The :class:`Expr` of two arrays that are already canonical, made
+    read-only and not checked: the constructor of this module's merges and
+    fast paths, imported by no other module."""
+    e = object.__new__(Expr)
+    coeffs.setflags(write=False)
+    exponents.setflags(write=False)
+    e.coeffs, e.exponents, e.n = coeffs, exponents, n
+    return e
 
 
 def _merged(coeffs: np.ndarray, exponents: np.ndarray, n: int) -> Expr:
-    """The canonical expression of the terms held in two arrays, built as one
-    :class:`Expr` (the arrays are frozen if the merge returns them)."""
+    """The canonical expression of the terms held in two arrays (the arrays
+    are frozen if the merge returns them)."""
     m = len(coeffs)
     if m == 1:
         merge = _merge_one
     else:
         merge = _merge_loop if m <= _SMALL_MERGE else _merge_arrays
-    coeffs, exponents = merge(coeffs, exponents)
-    return Expr(coeffs, exponents, n, canonical=True)
+    return _wrap(*merge(coeffs, exponents), n)
 
 
 def is_zero(e: Expr) -> bool:
-    return not len(canonicalize(e).coeffs)
+    return not len(e.coeffs)
 
 
 def exprs_close(e1: Expr, e2: Expr, tol: float = COEFF_DROP) -> bool:
-    """True when e1 - e2 canonicalizes to nothing above ``tol``."""
-    diff = canonicalize(e1 - e2)
-    return bool((np.abs(diff.coeffs) <= tol).all())
+    """True when e1 - e2 holds no coefficient above ``tol``."""
+    return bool((np.abs((e1 - e2).coeffs) <= tol).all())
 
 
 def max_abs_coeff(e: Expr) -> float:
-    coeffs = canonicalize(e).coeffs
-    return float(np.abs(coeffs).max()) if len(coeffs) else 0.0
+    return float(np.abs(e.coeffs).max()) if len(e.coeffs) else 0.0
 
 
 def monomial(ctx: Context, coeff: float, powers: dict[int | str, float] | None = None) -> Expr:
@@ -666,8 +658,7 @@ def term_text(coeff: float, exps: Sequence[float], ctx: Context, digits: int | N
 
 
 def print_expr(e: Expr, ctx: Context, digits: int | None = None) -> str:
-    """Render in the input grammar; parse(print(e)) == e for canonical e."""
-    e = canonicalize(e)
+    """Render in the input grammar; parse(print(e)) == e."""
     if not len(e.coeffs):
         return "0"
     return "".join(term_text(c, exps, ctx, digits, i == 0)
@@ -754,9 +745,7 @@ def restrict_at_initial(e: Expr, coord: int, ctx: Context) -> Expr:
             f"exponent {float(p[np.argmax(singular)])} on {ctx.names[coord]} is singular "
             "at the initial point"
         )
-    exps = e.exponents[zero]
-    exps[:, coord] = 0.0
-    return _merged(e.coeffs[zero], exps, e.n)
+    return e.take(zero)  # canonical exponents within EXP_TOL of 0 are 0
 
 
 def shift_exponent(e: Expr, coord: int, delta: float) -> Expr:
@@ -770,21 +759,21 @@ def shift_column(e: Expr, coord: int, delta: float, coeffs: np.ndarray,
     the coefficients replaced by ``coeffs``, canonicalized.
 
     ``values``, when given, are the distinct exponents of that column in
-    ascending order, from a caller that already has them.  When ``e`` is
-    canonical, the shifted arrays are canonical as they are, and no merge
-    runs, if every new coefficient is finite and not below ``COEFF_DROP`` in
-    magnitude and :func:`_shift_keeps_keys` holds for the column.  A single
-    term is merged, which costs less than the check.
+    ascending order, from a caller that already has them.  The shifted
+    arrays are canonical as they are, and no merge runs, if every new
+    coefficient is finite and not below ``COEFF_DROP`` in magnitude and
+    :func:`_shift_keeps_keys` holds for the column.  A single term is
+    merged, which costs less than the check.
     """
     exps = e.exponents.copy()
     exps[:, coord] += delta
-    if e._canonical and len(coeffs) > 1:
+    if len(coeffs) > 1:
         mags = np.abs(coeffs)
         if mags.min() >= COEFF_DROP and mags.max() < math.inf:
             if values is None:
                 values = sorted(set(e.exponents[:, coord].tolist()))
             if _shift_keeps_keys(values, delta):
-                return Expr(coeffs, exps, e.n, canonical=True)
+                return _wrap(coeffs, exps, e.n)
     return _merged(coeffs, exps, e.n)
 
 
@@ -793,8 +782,8 @@ def _shift_keeps_keys(values: list[float], delta: float) -> bool:
     keep them finite, snap none of them, and keep every equality and every
     strict inequality between the merge keys of neighbouring values?
 
-    Keys are monotone in p, so neighbours suffice.  Then the rows of a
-    canonical expression keep distinct keys in the same lexicographic order
+    Keys are monotone in p, so neighbours suffice.  Then the rows of an
+    expression keep distinct keys in the same lexicographic order
     after the shift, and the merge would return them unchanged.
     """
     delta = float(delta)  # Python floats, so the keys are Python's round

@@ -28,6 +28,7 @@ from fracforms import (
     rl_deriv,
     rl_integ,
 )
+from fracforms import rl
 from fracforms.symbolic import restrict_at_initial
 
 X = Context.of(("x",))
@@ -255,6 +256,25 @@ def test_product_series_flags_truncation():
     cut = product_rule_series(f, g, "x", 0.5, X, K=1)
     assert cut.truncated
     assert cut.tail_estimate > 1e-9
+
+
+@pytest.mark.parametrize("error", [AssertionError, TypeError])
+def test_product_series_tail_probe_lets_programming_errors_through(monkeypatch, error):
+    def broken(*args):
+        raise error("broken evaluator")
+
+    monkeypatch.setattr(rl, "eval_expr", broken)
+    with pytest.raises(error):
+        product_rule_series(parse_expr("x^2", X), parse_expr("x^3", X), "x", 0.5, X, K=1)
+
+
+def test_product_series_overflowing_tail_probe_is_infinite(monkeypatch):
+    def overflow(*args):
+        raise OverflowError("intermediate overflow in fsum")
+
+    monkeypatch.setattr(rl, "eval_expr", overflow)
+    cut = product_rule_series(parse_expr("x^2", X), parse_expr("x^3", X), "x", 0.5, X, K=1)
+    assert cut.truncated and cut.tail_estimate == math.inf
 
 
 def test_product_series_non_polynomial_needs_bound():

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracforms import (
+    BoundarySingularityError,
     Context,
     EvalDomainError,
     Expr,
@@ -24,7 +25,8 @@ from fracforms import (
     print_expr,
 )
 from fracforms import symbolic, tolerances
-from fracforms.rl import _whole_order_factor, power_rule_map, rl_deriv
+from fracforms.forms import DiffFactor, Form, WedgeWord, frac_exterior_deriv, parse_form, wedge
+from fracforms.rl import _whole_order_factor, power_rule_map, rl_deriv, rl_integ
 from fracforms.specialfn import gamma_ratio, snap_int
 from fracforms.tolerances import COEFF_DROP, EXP_TOL
 
@@ -49,10 +51,17 @@ def _terms(e):
     return [_term(c, p) for c, p in zip(e.coeffs.tolist(), e.exponents.tolist())]
 
 
+def _raw(terms, n):
+    """The (c, exps) pairs ``terms`` as a coefficient vector and an exponent
+    matrix, row for row, unmerged."""
+    return (np.array([c for c, _ in terms], dtype=np.float64),
+            np.array([p for _, p in terms], dtype=np.float64).reshape(len(terms), n))
+
+
 def _expr(terms, n):
-    """The (c, exps) pairs ``terms`` as an expression, uncanonicalized."""
-    return Expr(np.array([c for c, _ in terms], dtype=np.float64),
-                np.array([p for _, p in terms], dtype=np.float64).reshape(len(terms), n), n)
+    """The (c, exps) pairs ``terms`` through the public constructor, which
+    merges them."""
+    return Expr(*_raw(terms, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +207,16 @@ def test_vectorized_key_rounding_matches_python_round(p):
 @example([_term(c, (1.0, 0.5)) for c in (1e-3, 1.0, -1.0, 1e-3)])  # order of the sum
 @settings(max_examples=200, deadline=None)
 def test_canonicalize_bit_identical_to_dict_reference(terms):
+    want = _bits(_ref_canonicalize(terms, 2))
     got = canonicalize(_expr(terms, 2))
-    assert _arr_bits(got.coeffs, got.exponents) == _bits(_ref_canonicalize(terms, 2))
-    # both merges, whatever the size, against the same reference
-    e = _expr(terms, 2)
+    assert _arr_bits(got.coeffs, got.exponents) == want
+    # the public constructor and make take the same merge
+    made = Expr.make(terms, 2)
+    assert _arr_bits(made.coeffs, made.exponents) == want
+    # both merges, whatever the size, on the raw rows against the same reference
     for merge in (symbolic._merge_loop, symbolic._merge_arrays):
         if terms:
-            assert _arr_bits(*merge(e.coeffs, e.exponents)) == _bits(_ref_canonicalize(terms, 2))
+            assert _arr_bits(*merge(*_raw(terms, 2))) == want
 
 
 @given(term_lists(n=3, max_size=12), term_lists(n=3, max_size=12))
@@ -368,11 +380,47 @@ def test_canonicalize_returns_a_canonical_expression_unchanged(terms):
     assert canonicalize(canonicalize(_expr(terms, 2))) == e
 
 
+def _text(terms, ctx, words=("",)):
+    """The (c, exps) pairs as one literal, row for row, unmerged; term i
+    carries the wedge ``words[i % len(words)]``."""
+    return "".join(symbolic.term_text(c, exps, ctx, None, i == 0, words[i % len(words)])
+                   for i, (c, exps) in enumerate(terms)) or "0"
+
+
+@given(term_lists(max_size=20), term_lists(max_size=12), st.integers(0, 2 ** 24 - 1))
+@example([_term(2.0, (1.0, -0.0)), _term(1.0, (0.5, 1.0)), _term(3.0, (1.0, 0.0))],
+         [_term(1.0, (0.5 + 4e-10, -0.0))], 0b101)  # out of order, a duplicate key, -0.0
+@settings(max_examples=100, deadline=None)
+def test_every_operation_returns_canonical_arrays(a_terms, b_terms, mask_bits):
+    # the unchecked constructor trusts its operands to be canonical; each
+    # public operation must therefore hand back arrays the merge would keep
+    a, b = _expr(a_terms, 2), Expr.make(b_terms, 2)
+    mask = np.array([mask_bits >> i & 1 for i in range(len(a.coeffs))], dtype=bool)
+    outs = [a, b, -a, a * 0.5, a * -3.0, a * 1e-12, a.take(mask), a.pow(2.0),
+            parse_expr(_text(a_terms, XY), XY), rl_integ(a, 0, 0.5, XY),
+            rl_integ(b, 1, 1.0, XY)]
+    if len(b.coeffs) == 1 and b.coeffs[0] > 0.0:
+        outs += [b.pow(0.5), b.pow(-1.5)]
+    for coord in (0, 1):
+        try:
+            outs.append(symbolic.restrict_at_initial(a, coord, XY))
+        except BoundarySingularityError:
+            pass
+    dx, dy = (WedgeWord((DiffFactor(j, 0.5),)) for j in (0, 1))
+    one = Form(1, 0.5, {dx: a, dy: b})
+    forms = [frac_exterior_deriv(a, 0.5, XY), frac_exterior_deriv(one, 0.5, XY),
+             wedge(one, one), wedge(Form.scalar(b), one),
+             parse_form(_text(a_terms + b_terms, XY, ("d(x,0.5)", "d(y,0.5)")), XY)]
+    outs += [c for f in forms for c in f.terms.values()]
+    for e in outs:
+        assert _arr_bits(e.coeffs, e.exponents) == _bits(_ref_canonicalize(_terms(e), e.n))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_canonicalize_overflowing_merge_raises():
-    e = _expr([(1e308, (1.0,)), (1e308, (1.0,))], 1)
+    # the constructor merges, so the overflow raises as the expression is built
     with pytest.raises(ValueError, match="coefficient must be finite"):
-        canonicalize(e)
+        _expr([(1e308, (1.0,)), (1e308, (1.0,))], 1)
     with pytest.raises(ValueError, match="coefficient must be finite"):
         monomial(X, 1e200, {0: 1.0}) * monomial(X, 1e200, {0: 1.0})
 
@@ -406,13 +454,12 @@ def test_terms_view_matches_arrays():
 @example([_term(0.0, (1.0, 0.0)), _term(1.0, (-0.0, 2.0))])
 @settings(max_examples=100, deadline=None)
 def test_equal_expressions_hash_equal(terms):
-    # flipping the sign of every zero keeps an expression equal, canonical or not
+    # flipping the sign of every zero keeps an expression equal
     flipped = [(-c if c == 0.0 else c, [-p if p == 0.0 else p for p in exps])
                for c, exps in terms]
-    for a, b in ((_expr(terms, 2), _expr(flipped, 2)),
-                 (canonicalize(_expr(terms, 2)), canonicalize(_expr(flipped, 2)))):
-        assert a == b
-        assert hash(a) == hash(b)
+    a, b = _expr(terms, 2), _expr(flipped, 2)
+    assert a == b
+    assert hash(a) == hash(b)
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
@@ -423,7 +470,6 @@ def test_pickle_round_trip(protocol):
         assert copy == e and copy.n == e.n
         assert not copy.coeffs.flags.writeable and not copy.exponents.flags.writeable
         assert _arr_bits(copy.coeffs, copy.exponents) == _arr_bits(e.coeffs, e.exponents)
-        assert canonicalize(copy) == canonicalize(e)
 
 
 # ---------------------------------------------------------------------------
