@@ -1,9 +1,10 @@
 """Kernels, closedness, integrability, and exact potentials at any order nu > 0.
 
-Everything here is anchored at the origin: the differintegral kernels used
-for the basis elements and the reconstruction formula are only valid when
-every initial point is 0.  Functions that return a status object report
-non-origin contexts as unsupported; the rest raise ``UnsupportedError``.
+Every operator here has lower terminal a_i along coordinate i, at any
+initial points: an ``Expr`` is a sum of powers of x_i - a_i, on which that
+operator acts as the one from 0 acts on powers of x_i.  So the kernel bases,
+the obstruction and the potential are the same arrays at every initial
+point, read as powers of x_i - a_i.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import ExponentDomainError, UnsupportedError, VerificationError
+from .errors import ExponentDomainError, VerificationError
 from .forms import Form, frac_exterior_deriv
 from .rl import rl_deriv, rl_integ
 from .specialfn import whole_ceil
@@ -26,15 +27,9 @@ from .symbolic import (
 from .tolerances import EXP_TOL, RESIDUAL_TOL
 
 
-def _require_origin(ctx: Context, what: str) -> None:
-    if not ctx.at_origin():
-        raise UnsupportedError(f"{what} requires all initial points at the origin")
-
-
 def kernel_basis_1d(nu: float, coord: int | str, ctx: Context) -> list[Expr]:
     """Basis {x^(nu-m+k) : k < m} of the order-nu derivative kernel in one
     coordinate, m the ceiling whole order."""
-    _require_origin(ctx, "kernel_basis_1d")
     nu = float(nu)
     if nu <= 0:
         raise ValueError(f"kernel order must be positive, got {nu}")
@@ -49,7 +44,6 @@ def kernel_basis_dv(nu: float, ctx: Context) -> list[Expr]:
     Elements are (prod_i x_i)^(nu-m) * prod_i x_i^(k_i) with every k_i
     ranging over 0..m-1, so the basis has m^n elements.
     """
-    _require_origin(ctx, "kernel_basis_dv")
     nu = float(nu)
     if nu <= 0:
         raise ValueError(f"kernel order must be positive, got {nu}")
@@ -115,7 +109,6 @@ def integrability_residual(alpha: Form, i: int, j: int, ctx: Context) -> Expr:
     m the ceiling whole order of nu; the division is exponent subtraction.
     Zero for every (i, j) pair is the grade-1 integrability condition.
     """
-    _require_origin(ctx, "integrability_residual")
     comps = _components(alpha, ctx)
     nu = alpha.total_order
     inner = comps[j] - rl_deriv(rl_integ(comps[i], i, nu, ctx), j, nu, ctx)
@@ -129,8 +122,9 @@ class ExactnessResult:
 
     status is one of "exact" (f holds the potential), "not_integrable"
     (residual/i/j hold the first closure witness of d^nu alpha, as
-    ``is_closed`` reports it), or "unsupported" (reason says why the problem
-    is out of scope).
+    ``is_closed`` reports it), or "unsupported" (reason names the term that
+    left the operator domain without a witness, or the order that is not
+    positive).
     """
 
     status: str
@@ -151,19 +145,18 @@ def solve_exact(alpha: Form, nu: float, ctx: Context) -> ExactnessResult:
 
     The Poincare-lemma homotopy: from gamma = alpha and f = 0, each coordinate
     c in turn adds part = D_c^(-nu) gamma_c to f and subtracts d^nu part from
-    gamma.  On power products at the origin D_c^nu D_c^(-nu) is the identity
-    and partials along different coordinates commute, so the leftover
+    gamma.  The operators along c have lower terminal a_c at every initial
+    point; on powers of x_c - a_c, D_c^nu D_c^(-nu) is the identity and
+    partials along different coordinates commute, so the leftover
     gamma = alpha - d^nu f, the round trip, vanishes exactly when alpha is
     closed.  Everything runs at the form's order, which nu must match within
     EXP_TOL.  A leftover word above ``RESIDUAL_TOL``, or a closure witness
     after a term leaves the operator domain, gives "not_integrable" with the
-    first witness of is_closed(gamma), the one ``frac closed`` prints; a domain
-    failure without a witness is "unsupported" and names the term.
+    first witness of is_closed(gamma), the one ``frac closed`` prints.  A
+    domain failure without a witness, or nu <= 0, is "unsupported" and says
+    why.
     """
     nu = float(nu)
-    if not ctx.at_origin():
-        return ExactnessResult("unsupported",
-                               reason="initial points must all be at the origin")
     if nu <= EXP_TOL:
         return ExactnessResult("unsupported", reason="order must be positive")
     order = alpha.total_order

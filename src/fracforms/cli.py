@@ -461,8 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input", help="form literal")
     sp.set_defaults(func=cmd_closed)
 
-    sp = sub.add_parser("exact", help="reconstruct a potential for a grade-1 form of any "
-                        "order > 0, or print the closure witness `frac closed` prints")
+    text = ("reconstruct a potential for a grade-1 form of any order > 0 at any "
+            "initial points, or print the closure witness `frac closed` prints")
+    sp = sub.add_parser("exact", help=text, description=text)
     common(sp)
     sp.add_argument("input", help="form literal")
     sp.set_defaults(func=cmd_exact)

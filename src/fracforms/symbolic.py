@@ -146,9 +146,6 @@ class Context:
             raise UnknownCoordinateError(f"coordinate index {coord} out of range")
         return coord
 
-    def at_origin(self) -> bool:
-        return all(a == 0.0 for a in self.initial_points)
-
 
 def _check_finite(coeffs: np.ndarray, exponents: np.ndarray) -> None:
     """Raise ``ValueError`` for the first term, in order, that holds a

@@ -15,6 +15,7 @@ from fracforms import (
     ExponentDomainError,
     Expr,
     classical_derivative,
+    eval_expr,
     exprs_close,
     forms_close,
     frac_exterior_deriv,
@@ -30,6 +31,7 @@ from fracforms import (
 )
 from fracforms.analysis import ClosureReport, ExactnessResult, _components
 from fracforms.errors import VerificationError
+from fracforms.oracle import expr_evaluable, richardson_partial
 from fracforms.rl import rl_integ
 from fracforms.specialfn import whole_ceil
 from fracforms.symbolic import canonicalize, max_abs_coeff, shift_exponent
@@ -452,13 +454,6 @@ def test_round_trip_at_every_order():
     assert seen["unsupported"] < seen["draws"] / 2, seen
 
 
-def test_shifted_origin_unsupported():
-    ctx = Context.of(("x1", "x2"), origin=(1.0, 0.0))
-    alpha = one_form(("x2", None), 0.5, ctx)
-    result = solve_exact(alpha, 0.5, ctx)
-    assert result.status == "unsupported"
-
-
 def test_order_mismatch_rejected():
     alpha = one_form(("x2", None), 0.5, XY)
     with pytest.raises(ValueError):
@@ -500,7 +495,7 @@ def ref_reconstruct(comps, coords, nu, ctx):
 
 def ref_solve_exact(alpha, nu, ctx):
     nu = float(nu)
-    if not ctx.at_origin():
+    if any(ctx.initial_points):
         return ExactnessResult("unsupported",
                                reason="initial points must all be at the origin")
     if nu > 1.0 + EXP_TOL:
@@ -627,6 +622,68 @@ def test_integrability_residuals_vanish_exactly_on_closed_forms(case):
     except ExponentDomainError:  # outside the operator domain
         assume(False)
     assert all(max_abs_coeff(r) <= RESIDUAL_TOL for r in residuals) == closed
+
+
+def arrays(e):
+    return e.coeffs.tobytes(), e.exponents.tobytes()
+
+
+@given(exactness_cases(kinds=("exact", "perturbed")), st.data())
+@settings(max_examples=100, deadline=None)
+def test_shifted_initial_points_give_the_origin_arrays(case, data):
+    """Every operator along x_i has lower terminal a_i and every Expr is a sum
+    of powers of x_i - a_i, so the analysis is the same arrays at any initial
+    points: potential, closure witnesses, kernel basis and obstruction."""
+    alpha, nu, origin = case
+    order = alpha.total_order
+    a = data.draw(st.tuples(*[st.floats(-2.0, 2.0)] * origin.n))
+    shifted = Context.of(origin.names, a)
+
+    def snapshot(ctx):
+        exact = solve_exact(alpha, nu, ctx)
+        closure = outcome(is_closed, alpha, order, ctx)
+        if not isinstance(closure, type):
+            closure = closure.closed, [(i, j, arrays(r)) for i, j, r in closure.witnesses]
+        residuals = [outcome(integrability_residual, alpha, i, j, ctx)
+                     for i in range(ctx.n) for j in range(ctx.n) if i != j]
+        return (exact.status, None if exact.f is None else arrays(exact.f), closure,
+                [arrays(k) for k in kernel_basis_dv(order, ctx)],
+                [r if isinstance(r, type) else arrays(r) for r in residuals])
+
+    assert snapshot(shifted) == snapshot(origin)
+
+
+@pytest.mark.parametrize("a", [(1.0, -0.5), (-1.5, 0.7), (0.25, -2.0)])
+def test_shifted_potential_matches_the_oracle_from_each_initial_point(a):
+    """d^nu of the potential found at initial points a, against GL sums that
+    start at a_c: code that reads a_c, where the symbolic path never does.
+    Every exponent on the active coordinate is 0 or above, so the integrand
+    has no negative power at the lower terminal; such a power leads the GL
+    error with a term that Richardson's exponents 1, 2, 3, ... do not remove."""
+    ctx = Context.of(("x1", "x2"), a)
+    nu = 0.5
+    alpha = frac_exterior_deriv(parse_expr("1.3*x1^1.25*x2^0.75 + 0.4*x2^2.5", ctx), nu, ctx)
+    result = solve_exact(alpha, nu, ctx)
+    assert result.status == "exact"
+    dv = frac_exterior_deriv(result.f, nu, ctx)
+    pt = (a[0] + 1.3, a[1] + 1.6)
+    for c in range(ctx.n):
+        v = eval_expr(dv.component(c, ctx.n), ctx, pt)
+        r = richardson_partial(expr_evaluable(result.f, ctx), c, nu, pt, a=a[c],
+                               h0=1e-4, levels=4)
+        assert r.converged
+        assert abs(r.value - v) <= 10 * r.error_estimate + 1e-13 * (1 + abs(v))
+
+
+def test_exactness_leftover_threshold_is_absolute():
+    """A leftover word of 1e-9 is not exact and one of 1e-11 is: the absolute
+    RESIDUAL_TOL of 1e-10, on either side."""
+    alpha = parse_form("1e-9*x2 d(x1,1)", XY)
+    result = solve_exact(alpha, 1.0, XY)
+    assert result.status == "not_integrable"
+    assert (result.i, result.j) == (0, 1)
+    assert arrays(result.residual) == arrays(parse_expr("-1e-9", XY))
+    assert solve_exact(parse_form("1e-11*x2 d(x1,1)", XY), 1.0, XY).status == "exact"
 
 
 def test_solve_exact_integrates_each_component_once(monkeypatch):

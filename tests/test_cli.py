@@ -176,14 +176,27 @@ def test_exact_no_with_residual(capsys):
 
 
 def test_exact_unsupported_order_exits_4(capsys):
-    code, _, err = run(capsys, "exact", "x2 d(x1,1)", "--coords", "x1,x2", "--origin", "1,0")
+    # D^-0.5 of x^-1.5 leaves the operator domain, and d^0.5 alpha has no witness
+    code, _, err = run(capsys, "exact", "x^-1.5 d(x,0.5)")
     assert code == 4
     assert err.startswith("unsupported:")
+    assert "exponent -1.5 on x is outside the operator domain" in err
     # an --order off the form's own order is a usage error, not an unsupported one
     code, out, err = run(capsys, "exact", "x2 d(x1,1)", "--order", "1.5")
     assert code == 3
     assert out == ""
     assert "does not match requested order 1.5" in err
+
+
+def test_exact_and_closed_agree_at_shifted_initial_points(capsys):
+    # the literal and f are read in x_i - a_i: f is (x1-1)^2*x2
+    form = "2*x1*x2 d(x1,1) + x1^2 d(x2,1)"
+    code, out, _ = run(capsys, "exact", form, "--origin", "1,0")
+    assert code == 0
+    assert out.splitlines() == ["exact: yes", "f = x1^2*x2"]
+    code, out, _ = run(capsys, "closed", form, "--origin", "1,0")
+    assert code == 0
+    assert out == "closed: yes"
 
 
 def test_exact_above_order_one(capsys):
