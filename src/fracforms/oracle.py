@@ -22,6 +22,17 @@ step is the fine step times a power of two, so the nodes are bit for bit the
 same) and their weights are a prefix of the fine weights.  The sums use the
 compensated kernel in :mod:`fracforms.kernels`.
 
+The kernel sums the products w_k f(x - k h) as rounded, with no error
+beyond that rounding worth naming.  For q > 0 the weights nearly cancel, the sum is about h^q D^q f(x), and the
+first few products are far larger than that: at h = 1e-3 and q = 1.88 the
+rounding of w_0 x, w_1 (x - h), ... moved D^q t by 1e-9 in relative terms.
+So the first :data:`HEAD` samples of every level are summed as f - f(x):
+the difference is exact near x, where f(x - k h) is within a factor of two of
+f(x), and its products are small.  f(x) times the ``math.fsum`` of those
+rounded weights is added back, so a level is still the GL sum of its samples
+with the weights it uses, now with rounding on the order of the sum itself.
+For q <= 0 the weights do not cancel and the samples are summed as they are.
+
 The samples and the weights are the only arrays as long as the finest grid
 (16 bytes a node).  f is called on one block of :data:`~fracforms.kernels.BLOCK`
 nodes at a time, each node once, and the values are written into the one
@@ -32,6 +43,7 @@ error names the first such node.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Callable, NamedTuple, Sequence
 
@@ -42,6 +54,10 @@ from .kernels import BLOCK, gl_weighted_sum, gl_weights
 from .symbolic import Context, Expr
 
 MIN_STEPS = 10
+
+# Samples nearest x that a GL sum of order q > 0 takes as f - f(x); every
+# level has at least MIN_STEPS samples, so at least HEAD.
+HEAD = 8
 
 
 def _sample(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
@@ -92,10 +108,23 @@ def _gl_levels(f, q: float, x: float, a: float, steps: int, levels: int) -> list
                 raise QuadratureDomainError(f"integrand undefined at sample node t={x - h * k}")
             end = fine
     weights = gl_weights(q, end)
+    if q > 0:
+        f0 = float(vals[0])
+        near_weights = math.fsum(weights[:HEAD].tolist())
     sums = []
     for lvl in range(levels):
         stride = 1 << (levels - 1 - lvl)
-        sums.append(gl_weighted_sum(vals[:end:stride], weights) * (h * stride) ** (-q))
+        level = vals[:end:stride]
+        if q > 0:
+            # the level's first HEAD samples are summed as f - f(x), then put
+            # back for the next level, so it is summed as on its own grid
+            near = level[:HEAD].copy()
+            level[:HEAD] -= f0
+            total = gl_weighted_sum(level, weights) + f0 * near_weights
+            level[:HEAD] = near
+        else:
+            total = gl_weighted_sum(level, weights)
+        sums.append(total * (h * stride) ** (-q))
     return sums
 
 

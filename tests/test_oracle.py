@@ -7,6 +7,7 @@ high-precision gamma factors, never from the symbolic module under test.
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from fracforms import (
     richardson,
     richardson_partial,
 )
-from fracforms.kernels import BLOCK
+from fracforms.kernels import BLOCK, gl_weights
 from fracforms.oracle import MIN_STEPS
 
 SQRT_PI = 1.7724538509055160
@@ -79,6 +80,20 @@ def test_linearity_in_the_integrand(q, x):
     parts = 2.0 * gl_deriv(f, q, x, 0.0, h=1e-3) + 3.0 * gl_deriv(g, q, x, 0.0, h=1e-3)
     # the h^-q prefactor amplifies summation round-off near q = 2
     assert combo == pytest.approx(parts, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("q, x", [(1.8828125, 3.0), (1.9, 2.5), (0.7, 1.3)])
+def test_sum_is_the_gl_sum_of_its_samples_to_its_own_rounding(q, x):
+    # the samples of t are the nodes, exact; summed in rationals with the
+    # oracle's weights they give the GL sum the oracle must return, up to
+    # rounding on the scale of the sum, not of its first products
+    steps = int(round(x / 1e-3))
+    h = x / steps
+    nodes = x - h * np.arange(steps + 1, dtype=np.float64)
+    exact = sum(Fraction(float(w)) * Fraction(float(t))
+                for w, t in zip(gl_weights(q, steps + 1), nodes))
+    want = float(exact) * h ** (-q)
+    assert gl_deriv(lambda t: t, q, x, 0.0, h=1e-3) == pytest.approx(want, rel=1e-11, abs=0)
 
 
 def test_first_order_convergence():
