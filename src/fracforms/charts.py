@@ -10,17 +10,18 @@ transformation matrix is
 computed symbolically by the power rule, or numerically at a y-point:
 Richardson-extrapolated GL sums along the coordinate line for fractional
 orders, Richardson-extrapolated central differences for whole orders (where
-the differintegral is the ordinary local derivative), with Expr forward maps
-evaluated and the sums extrapolated by the oracle's code.  The matrix is
-stored with rows indexed by k (the source differential) and columns by i
-(the target differential), so at nu=1 row k is the gradient of x_k.
+the differintegral is the ordinary local derivative), with the sums
+extrapolated by the oracle's code.  The matrix is stored with rows indexed by
+k (the source differential) and columns by i (the target differential), so
+at nu=1 row k is the gradient of x_k.
 
-:func:`chart_matrix`, which :func:`inverse_residual` and the CLI's chart
-verbs call, picks between the two: symbolic entries (evaluated at the point
-when one is given) whenever every forward map is an Expr and the power rule
-closes on them, which needs single-term maps or a whole order; numeric
-entries at the point otherwise, or when ``numeric`` (the CLI's
-``--numeric``) forces them.
+:func:`jacobian` alone picks between the two, and :func:`metric`,
+:func:`inverse_residual` and the CLI's chart verbs call it: symbolic entries
+(evaluated at the point when one is given) whenever every forward map is an
+Expr and the power rule closes on them, which needs single-term maps or a
+whole order; numeric entries at the point otherwise.  Numeric entries of an
+Expr chart are a property of the chart, not a flag: :meth:`Chart.black_box`
+(the CLI's ``--numeric``) evaluates its maps as black boxes.
 
 For n >= 2 and non-whole nu the product over j != k does not drop out of the
 derivation, so the forward and reverse matrices need not be inverse to each
@@ -89,12 +90,21 @@ class Chart:
         return Chart(self.name + "~rev", self.ctx_y, self.ctx_x,
                      self.inverse, self.forward)
 
-    def validate(self, probes: Sequence[Sequence[float]] | None = None) -> None:
-        """Check inverse-after-forward identity at probe points, to 1e-8."""
-        if probes is None:
-            atil = self.ctx_y.initial_points
-            probes = [tuple(v + 0.7 for v in atil), tuple(v + 1.3 for v in atil)]
-        for p in probes:
+    def black_box(self) -> "Chart":
+        """The same chart with each Expr map, in both directions, replaced by
+        its numpy evaluation (:func:`oracle.expr_evaluable`), so that
+        :func:`jacobian` takes numeric entries of it."""
+        def box(maps, ctx):
+            return tuple(expr_evaluable(f, ctx) if isinstance(f, Expr) else f for f in maps)
+
+        return replace(self, forward=box(self.forward, self.ctx_y),
+                       inverse=box(self.inverse, self.ctx_x))
+
+    def validate(self) -> None:
+        """Check the inverse-after-forward identity to 1e-8 at the probe
+        points a~ + 0.7 and a~ + 1.3, a~ the y-side initial points."""
+        for shift in (0.7, 1.3):
+            p = tuple(v + shift for v in self.ctx_y.initial_points)
             back = self.y_of(self.x_of(p))
             err = max(abs(b - v) for b, v in zip(back, p))
             if not err <= 1e-8:
@@ -160,14 +170,8 @@ def get_chart(spec: str, n: int | None = None) -> Chart:
         minv = np.linalg.inv(m)
         k = m.shape[0]
         ctx_x, ctx_y = _grid_contexts(k)
-        fwd = tuple(
-            sum((monomial(ctx_y, m[i, j], {j: 1.0}) for j in range(k) if m[i, j] != 0),
-                Expr.zero(k))
-            for i in range(k))
-        inv = tuple(
-            sum((monomial(ctx_x, minv[i, j], {j: 1.0}) for j in range(k) if minv[i, j] != 0),
-                Expr.zero(k))
-            for i in range(k))
+        fwd = tuple(Expr(row, np.eye(k), k) for row in m)
+        inv = tuple(Expr(row, np.eye(k), k) for row in minv)
         chart = Chart(spec, ctx_x, ctx_y, fwd, inv)
     else:
         raise ValueError(f"unknown chart {spec!r} "
@@ -222,11 +226,10 @@ def _central_derivative(g: Callable[[float], float], t: float, order: int) -> fl
 
 
 def _integrand_numeric(chart: Chart, k: int, nu: float) -> Callable:
-    """y-vector -> the alpha_k power product of the chart's forward maps;
-    domain violations become nan samples for the quadrature to police."""
+    """y-vector -> the alpha_k power product of the chart's black-box forward
+    maps; domain violations become nan samples for the quadrature to police."""
     a = chart.ctx_x.initial_points
-    maps = [expr_evaluable(f, chart.ctx_y) if isinstance(f, Expr) else f
-            for f in chart.forward]
+    maps = chart.forward
     powers = _kernel_powers(k, nu, chart.n)
 
     def g(y):
@@ -341,25 +344,36 @@ def jacobian(chart: Chart, nu: float, point: Sequence[float] | None = None,
              h0: float = 1e-3, levels: int = 3) -> JacobianMatrix:
     """Fractional transformation matrix of the chart at order nu.
 
-    Without a point the entries are computed symbolically (power-product
-    forward maps only); with a point they are computed numerically at that
-    y-location.
+    The entries are symbolic, evaluated at ``point`` when one is given,
+    whenever every forward map is an Expr and the power rule closes on them
+    (single-term maps or a whole order).  Otherwise they are numeric at
+    ``point``, GL sums with base step ``h0`` and ``levels`` extrapolation
+    levels; without a point that is an ``UnsupportedError`` for an Expr chart
+    and a ``ValueError`` for a black-box one.  ``jacobian(chart.black_box(),
+    ...)`` takes numeric entries of an Expr chart.  An order within
+    ``EXP_TOL`` of a whole k is taken as k.
     """
     nu = float(nu)
     if nu <= 0:
         raise ValueError(f"order must be positive, got {nu}")
+    whole = snap_int(nu)
+    if whole is not None:
+        nu = float(whole)
     m = whole_ceil(nu)
+    if point is not None:
+        point = tuple(float(v) for v in point)
+        if len(point) != chart.n:
+            raise ValueError(f"point has {len(point)} coordinates, chart has {chart.n}")
+    if chart.is_symbolic:
+        try:
+            J = JacobianMatrix(_symbolic_entries(chart, nu), nu, m, chart, "symbolic")
+            return J if point is None else J.evaluate(point)
+        except UnsupportedError:
+            if point is None:
+                raise
     if point is None:
-        if not chart.is_symbolic:
-            raise UnsupportedError(
-                f"chart {chart.name!r} has black-box forward maps; "
-                "pass a point for numeric entries")
-        return JacobianMatrix(_symbolic_entries(chart, nu), nu, m,
-                              chart, "symbolic")
-    point = tuple(float(v) for v in point)
-    if len(point) != chart.n:
-        raise ValueError(f"point has {len(point)} coordinates, chart has {chart.n}")
-    return JacobianMatrix(_numeric_entries(chart, nu, point, h0, levels),
+        raise ValueError(f"chart {chart.name!r} needs a point for numeric entries")
+    return JacobianMatrix(_numeric_entries(chart.black_box(), nu, point, h0, levels),
                           nu, m, chart, "numeric", point)
 
 
@@ -443,28 +457,9 @@ def inverse_residual(chart: Chart, nu: float, point: Sequence[float],
     identity at nu=1 and for single-coordinate charts, and the returned
     matrix measures how far other cases drift.
     """
-    fwd = chart_matrix(jacobian, chart, nu, point, h0=h0, levels=levels)
-    rev = chart_matrix(jacobian, chart.reversed(), nu, chart.x_of(point),
-                       h0=h0, levels=levels)
+    fwd = jacobian(chart, nu, point, h0, levels)
+    rev = jacobian(chart.reversed(), nu, chart.x_of(point), h0, levels)
     return fwd.as_array() @ rev.as_array() - np.eye(chart.n)
-
-
-def chart_matrix(builder: Callable, chart: Chart, nu: float,
-                 point: Sequence[float] | None = None, numeric: bool = False,
-                 h0: float = 1e-3, levels: int = 3) -> ChartMatrix:
-    """``builder`` (:func:`jacobian` or :func:`metric`) of the chart at order
-    nu: symbolic entries, evaluated at ``point`` if given, where the chart
-    allows them and ``numeric`` is off; else numeric entries at ``point``."""
-    if not numeric and chart.is_symbolic:
-        try:
-            mat = builder(chart, nu)
-            return mat if point is None else mat.evaluate(point)
-        except UnsupportedError:
-            if point is None:
-                raise
-    if point is None:
-        raise ValueError(f"chart {chart.name!r} needs a point for numeric entries")
-    return builder(chart, nu, point, h0, levels)
 
 
 class MetricMatrix(ChartMatrix):

@@ -19,7 +19,6 @@ import numpy as np
 from .analysis import is_closed, solve_exact
 from .charts import (
     alpha_k,
-    chart_matrix,
     format_matrix,
     get_chart,
     inverse_residual,
@@ -203,19 +202,14 @@ def cmd_exact(args) -> int:
 # --- chart verbs ---------------------------------------------------------------
 
 
-def _chart_point(args):
-    point = _split_floats(args.point) if getattr(args, "point", None) else None
+def _matrix_of(args, builder):
+    """``builder`` (jacobian or metric) of the --chart at --order, with the
+    chart's maps as black boxes under --numeric."""
+    point = _split_floats(args.point) if args.point else None
     chart = get_chart(args.chart, n=len(point) if point else None)
-    if point is not None and len(point) != chart.n:
-        raise ValueError(f"point has {len(point)} coordinates, chart has {chart.n}")
-    return chart, point
-
-
-def _chart_matrix(args, builder):
-    chart, point = _chart_point(args)
-    mat = chart_matrix(builder, chart, args.order, point, args.numeric,
-                       h0=args.h, levels=args.levels)
-    return mat, chart, point
+    if args.numeric:
+        chart = chart.black_box()
+    return builder(chart, args.order, point, args.h, args.levels), chart, point
 
 
 def _matrix_lines(mat) -> list[str]:
@@ -228,7 +222,7 @@ def _matrix_lines(mat) -> list[str]:
 
 
 def cmd_jacobian(args) -> int:
-    J, chart, point = _chart_matrix(args, jacobian)
+    J, chart, point = _matrix_of(args, jacobian)
     lines = _matrix_lines(J)
     payload = J.to_json()
     if args.residual:
@@ -243,15 +237,15 @@ def cmd_jacobian(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    g, chart, point = _chart_matrix(args, metric)
+    g, chart, point = _matrix_of(args, metric)
     _emit(args, _matrix_lines(g), g.to_json())
     return 0
 
 
 def cmd_lineelement(args) -> int:
-    if not getattr(args, "point", None):
+    if not args.point:
         raise ValueError("lineelement needs --point")
-    g, chart, point = _chart_matrix(args, metric)
+    g, chart, point = _matrix_of(args, metric)
     dy = _split_floats(args.dy)
     ds = line_element(g, dy)
     _emit(args, [_fmt(ds)], {"ds": ds, "nu": args.order,
@@ -474,11 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--chart", required=True,
                         help="polar | identity | scale:c1,... | affine:a,b;c,d")
         sp.add_argument("--order", type=float, required=True)
-        sp.add_argument("--point", help="y-point for numeric entries")
+        sp.add_argument("--point", help="y-point to evaluate the entries at")
         sp.add_argument("--h", type=float, default=1e-3, help="base GL step")
         sp.add_argument("--levels", type=int, default=3, help="extrapolation levels")
         sp.add_argument("--numeric", action="store_true",
-                        help="force GL/central-difference entries at --point")
+                        help="evaluate the chart's maps as black boxes: "
+                             "GL/central-difference entries at --point")
         sp.add_argument("--json", action="store_true")
         if verb == "jacobian":
             sp.add_argument("--residual", action="store_true",

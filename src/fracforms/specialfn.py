@@ -71,14 +71,7 @@ def gamma(x: float) -> float:
 
 def rgamma(x: float) -> float:
     """Reciprocal gamma 1/gamma(x); total, and exactly 0 at non-positive integers."""
-    if is_gamma_pole(x):
-        return 0.0
-    log = math.lgamma(x)
-    if -log > _LOG_MAX:
-        return math.copysign(math.inf, sign_gamma(x))
-    if -log < _LOG_MIN:
-        return sign_gamma(x) * 0.0
-    return sign_gamma(x) * math.exp(-log)
+    return gamma_ratio((), (x,))
 
 
 def gamma_ratio(numerators: tuple[float, ...], denominators: tuple[float, ...]) -> float:

@@ -686,6 +686,22 @@ def test_exactness_leftover_threshold_is_absolute():
     assert solve_exact(parse_form("1e-11*x2 d(x1,1)", XY), 1.0, XY).status == "exact"
 
 
+def test_closedness_residual_threshold_is_absolute():
+    """A d^1 word of 1e-10 is closed and one of 2e-10 is not: the absolute
+    RESIDUAL_TOL of 1e-10, on either side."""
+    assert is_closed(parse_form("1e-10*x2 d(x1,1)", XY), 1.0, XY).closed
+    report = is_closed(parse_form("2e-10*x2 d(x1,1)", XY), 1.0, XY)
+    assert not report.closed
+    assert [w[:2] for w in report.witnesses] == [(0, 1)]
+
+
+@pytest.mark.parametrize("nu", [0.0, 5e-10, -0.5])
+def test_solve_exact_of_a_non_positive_order_is_unsupported(nu):
+    result = solve_exact(parse_form("x2 d(x1,0.5)", XY), nu, XY)
+    assert result.status == "unsupported"
+    assert result.reason == "order must be positive"
+
+
 def test_solve_exact_integrates_each_component_once(monkeypatch):
     f = parse_expr("x1^2*x2*x3 + x2^1.5*x4 + x1*x3^0.5*x4^2 + x4^3", X1234)
     alpha = frac_exterior_deriv(f, 0.5, X1234)

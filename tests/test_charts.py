@@ -7,6 +7,7 @@ floating point.
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ import pytest
 from fracforms import (
     Chart,
     Context,
+    Expr,
     MetricMatrix,
     NegativeQuadraticFormError,
     QuadratureDomainError,
+    UnsupportedError,
     alpha_k,
     exprs_close,
     frac_exterior_deriv,
@@ -93,6 +96,32 @@ def test_reversed_swaps_directions():
     assert rev.y_of((2.0,))[0] == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("spec", ["affine:1,2;3,4", "affine:2,1e-13;0.5,3",
+                                  "affine:1,0,2;0,3,0;-1,0.5,4"])
+def test_affine_maps_are_the_matrix_rows(spec):
+    # each map is Expr(row, I, k): the same arrays as the sum of its monomials
+    ch = get_chart(spec)
+    k = ch.n
+    m = np.array([[float(v) for v in row.split(",")] for row in spec[7:].split(";")])
+    for maps, mat, ctx in ((ch.forward, m, ch.ctx_y), (ch.inverse, np.linalg.inv(m), ch.ctx_x)):
+        for f, row in zip(maps, mat):
+            want = sum((monomial(ctx, c, {j: 1.0}) for j, c in enumerate(row) if c != 0),
+                       Expr.zero(k))
+            assert f == want
+
+
+def test_black_box_replaces_every_expr_map():
+    ch = get_chart("affine:1,2;3,4")
+    box = ch.black_box()
+    assert (box.name, box.ctx_x, box.ctx_y) == (ch.name, ch.ctx_x, ch.ctx_y)
+    assert not any(isinstance(f, Expr) for f in box.forward + box.inverse)
+    assert not box.is_symbolic
+    assert box.x_of((0.7, 1.3)) == pytest.approx(ch.x_of((0.7, 1.3)), abs=1e-15)
+    assert box.y_of((0.7, 1.3)) == pytest.approx(ch.y_of((0.7, 1.3)), abs=1e-15)
+    polar = get_chart("polar")
+    assert polar.black_box().forward == polar.forward
+
+
 def test_affine_inverse_is_materialized():
     ch = get_chart("affine:1,2;3,4")
     y = ch.y_of((5.0, 6.0))
@@ -157,6 +186,49 @@ def test_scaling_chart_fractional_entries_depend_on_spectators():
     assert np.allclose(got, want, atol=1e-12)
 
 
+def test_one_policy_gives_exact_zeros_above_order_two():
+    # symbolic entries evaluated at the point: the zeros are exact, where GL
+    # sums of the black-box maps miss them by up to 3.6e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J = jacobian(get_chart("identity", 3), 2.5, (1.9, 1.69, 1.48)).as_array()
+    assert np.all(J[~np.eye(3, dtype=bool)] == 0.0)
+    assert np.all(np.diag(J) > 0.0)
+
+
+def test_expr_chart_without_a_closed_power_rule_needs_a_point():
+    # multi-term maps at a fractional order: no symbolic entries exist
+    with pytest.raises(UnsupportedError):
+        jacobian(get_chart("affine:1,2;3,4"), 0.5)
+
+
+def test_expr_chart_without_a_closed_power_rule_is_numeric_at_a_point():
+    ch = get_chart("affine:1,2;3,4")
+    J = jacobian(ch, 0.5, (1.0, 2.0))
+    assert J.mode == "numeric" and J.chart is ch
+    assert np.array_equal(J.as_array(), jacobian(ch.black_box(), 0.5, (1.0, 2.0)).as_array())
+
+
+def test_black_box_chart_needs_a_point():
+    with pytest.raises(ValueError, match="^chart 'polar' needs a point for numeric entries$"):
+        jacobian(get_chart("polar"), 0.5)
+    with pytest.raises(ValueError, match="needs a point"):
+        jacobian(get_chart("scale:2").black_box(), 0.5)
+
+
+@pytest.mark.parametrize("spec", ["scale:2,3", "affine:1,2;3,4", "identity"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("offset", [-5e-10, 5e-10])
+def test_whole_orders_inside_the_window_are_the_whole_order(spec, k, offset):
+    # an order within EXP_TOL of k is k for the integrand, q and the extra
+    # gamma(nu + 1) denominator alike
+    ch = get_chart(spec, 2)
+    want = jacobian(ch, float(k)).evaluate((1.2, 0.7))
+    got = jacobian(ch, k + offset).evaluate((1.2, 0.7))
+    assert got.nu == k
+    assert np.array_equal(got.as_array(), want.as_array())
+
+
 def test_symbolic_jacobian_whole_order_matches_classical():
     J = jacobian(get_chart("affine:1,2;3,4"), 1.0)
     got = J.evaluate((0.7, 1.3)).as_array()
@@ -210,8 +282,9 @@ def test_numeric_jacobian_requires_point_above_anchor():
 
 def test_numeric_mode_matches_symbolic_for_scaling():
     sym = jacobian(get_chart("scale:2"), 0.5).evaluate((1.5,)).as_array()
-    num = jacobian(get_chart("scale:2"), 0.5, point=(1.5,)).as_array()
+    num = jacobian(get_chart("scale:2").black_box(), 0.5, point=(1.5,)).as_array()
     assert np.allclose(num, sym, rtol=1e-6)
+    assert not np.array_equal(num, sym)  # quadrature noise: the numeric path ran
 
 
 def test_numeric_entries_of_expr_charts_do_not_call_the_symbolic_evaluator(monkeypatch):
@@ -228,7 +301,7 @@ def test_numeric_entries_of_expr_charts_do_not_call_the_symbolic_evaluator(monke
             monkeypatch.setattr(module, "term_values", boom)
     # the default h0 = 1e-3 misses by 1.5e-7: an h^1.5 error term that the
     # integer-exponent extrapolation does not remove
-    num = jacobian(chart, 0.5, (1.0,), h0=1e-4).as_array()
+    num = jacobian(chart.black_box(), 0.5, (1.0,), h0=1e-4).as_array()
     assert np.max(np.abs(num - sym)) <= 1e-8
 
 

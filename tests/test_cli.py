@@ -6,7 +6,7 @@ import pytest
 
 from fracforms import (Context, exprs_close, form_from_json, frac_exterior_deriv, forms_close,
                        parse_expr)
-from fracforms.charts import polar_radial_closed_form
+from fracforms.charts import get_chart, inverse_residual, polar_radial_closed_form
 from fracforms.cli import infer_coords, main
 
 
@@ -249,6 +249,26 @@ def test_jacobian_numeric_flag_forces_quadrature(capsys):
     val = float(out.strip("[]"))
     assert val == pytest.approx(1.7320508075688772, rel=1e-6)
     assert out != "[[1.732050808]]"  # quadrature noise stays visible
+
+
+@pytest.mark.parametrize("numeric", [False, True])
+def test_jacobian_residual_follows_the_printed_matrix(capsys, numeric):
+    # --numeric makes the chart a black box once, so J and its residual both
+    # come from GL sums; without it both are symbolic and exactly diagonal
+    argv = ["jacobian", "--chart", "scale:2,3", "--order", "0.5", "--point", "1,1",
+            "--residual", "--json"] + (["--numeric"] if numeric else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["mode"] == "numeric"
+    off = [payload[key][0][1] for key in ("entries", "residual")] + \
+          [payload[key][1][0] for key in ("entries", "residual")]
+    if numeric:
+        assert all(v != 0.0 for v in off)
+        chart = get_chart("scale:2,3").black_box()
+        assert payload["residual"] == inverse_residual(chart, 0.5, (1.0, 1.0)).tolist()
+    else:
+        assert off == [0.0] * 4
 
 
 def test_jacobian_json(capsys):

@@ -101,6 +101,14 @@ def test_rgamma_reference_values(x, expected):
     assert rgamma(x) == pytest.approx(expected, rel=1e-13)
 
 
+def test_rgamma_overflow_and_underflow_keep_the_sign_of_gamma():
+    # 1/gamma beyond the double range: gamma(-180.5) is a tiny negative
+    # number, gamma(200) a huge positive one
+    assert rgamma(-180.5) == -math.inf
+    under = rgamma(200.0)
+    assert under == 0.0 and math.copysign(1.0, under) == 1.0
+
+
 @given(st.floats(min_value=-40.0, max_value=40.0))
 @settings(max_examples=500, deadline=None)
 def test_rgamma_times_gamma_is_one(x):
@@ -152,6 +160,12 @@ def test_gamma_ratio_large_arguments_stay_finite():
     val = gamma_ratio((160.0,), (158.0,))
     assert val == pytest.approx(159.0 * 158.0, rel=1e-12)
     assert math.isfinite(val)
+
+
+def test_gamma_ratio_overflow_and_underflow_keep_the_sign():
+    assert gamma_ratio((200.0,), (1.0,)) == math.inf
+    under = gamma_ratio((-180.5,), (1.0,))
+    assert under == 0.0 and math.copysign(1.0, under) == -1.0
 
 
 # ---------------------------------------------------------------------------
