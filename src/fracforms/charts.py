@@ -21,7 +21,10 @@ at nu=1 row k is the gradient of x_k.
 Expr and the power rule closes on them, which needs single-term maps or a
 whole order; numeric entries at the point otherwise.  Numeric entries of an
 Expr chart are a property of the chart, not a flag: :meth:`Chart.black_box`
-(the CLI's ``--numeric``) evaluates its maps as black boxes.
+(the CLI's ``--numeric``) evaluates its maps as black boxes.  A
+:class:`ChartMatrix` derives ``mode`` ("numeric" exactly when it has a
+``point``) and ``m`` from its fields.  :func:`transform_form` raises the maps
+to powers with :meth:`Expr.pow`, which expands whole powers of multi-term maps.
 
 For n >= 2 and non-whole nu the product over j != k does not drop out of the
 derivation, so the forward and reverse matrices need not be inverse to each
@@ -247,18 +250,24 @@ def _integrand_numeric(chart: Chart, k: int, nu: float) -> Callable:
 @dataclass(frozen=True)
 class ChartMatrix:
     """n x n matrix of a chart at order nu: Exprs over the chart's y context
-    (``mode`` "symbolic") or floats at ``point`` (``mode`` "numeric")."""
+    without a ``point``, floats at ``point`` with one."""
 
     entries: tuple
     nu: float
-    m: int
     chart: Chart
-    mode: str
     point: tuple | None = None
 
     @property
     def n(self) -> int:
         return len(self.entries)
+
+    @property
+    def m(self) -> int:
+        return whole_ceil(self.nu)
+
+    @property
+    def mode(self) -> str:
+        return "symbolic" if self.point is None else "numeric"
 
     def as_array(self) -> np.ndarray:
         if self.mode != "numeric":
@@ -272,8 +281,7 @@ class ChartMatrix:
         rows = tuple(
             tuple(eval_expr(e, self.chart.ctx_y, point) for e in row)
             for row in self.entries)
-        return replace(self, entries=rows, mode="numeric",
-                       point=tuple(float(v) for v in point))
+        return replace(self, entries=rows, point=tuple(float(v) for v in point))
 
     def to_json(self) -> dict:
         if self.mode == "numeric":
@@ -334,7 +342,13 @@ def _numeric_entries(chart: Chart, nu: float, point, h0: float, levels: int) -> 
                 if not float(point[i]) > atil[i]:
                     raise QuadratureDomainError(
                         f"numeric entries need point[{i}] > {atil[i]}, got {point[i]}")
-                val = richardson_partial(g, i, nu, point, a=atil[i], h0=h0, levels=levels).value
+                try:
+                    val = richardson_partial(g, i, nu, point, a=atil[i], h0=h0,
+                                             levels=levels).value
+                except QuadratureDomainError as exc:
+                    raise QuadratureDomainError(
+                        f"chart {chart.name!r}, entry (k={k}, i={i}) along "
+                        f"{chart.ctx_y.names[i]} at order {fmt_number(nu)}: {exc}") from exc
             row.append(val * scale)
         rows.append(tuple(row))
     return tuple(rows)
@@ -359,14 +373,13 @@ def jacobian(chart: Chart, nu: float, point: Sequence[float] | None = None,
     whole = snap_int(nu)
     if whole is not None:
         nu = float(whole)
-    m = whole_ceil(nu)
     if point is not None:
         point = tuple(float(v) for v in point)
         if len(point) != chart.n:
             raise ValueError(f"point has {len(point)} coordinates, chart has {chart.n}")
     if chart.is_symbolic:
         try:
-            J = JacobianMatrix(_symbolic_entries(chart, nu), nu, m, chart, "symbolic")
+            J = JacobianMatrix(_symbolic_entries(chart, nu), nu, chart)
             return J if point is None else J.evaluate(point)
         except UnsupportedError:
             if point is None:
@@ -374,7 +387,7 @@ def jacobian(chart: Chart, nu: float, point: Sequence[float] | None = None,
     if point is None:
         raise ValueError(f"chart {chart.name!r} needs a point for numeric entries")
     return JacobianMatrix(_numeric_entries(chart.black_box(), nu, point, h0, levels),
-                          nu, m, chart, "numeric", point)
+                          nu, chart, point)
 
 
 def polar_radial_closed_form(k: int, nu: float, r: float, theta: float) -> float:
@@ -395,20 +408,15 @@ def polar_radial_closed_form(k: int, nu: float, r: float, theta: float) -> float
 # --- applying the matrix -------------------------------------------------------
 
 def _compose_monomial(e: Expr, chart: Chart) -> Expr:
-    """Substitute the forward maps into a power product (monomial maps only)."""
+    """Substitute the forward maps into a power product; each power of a
+    shifted map x_j(y) - a_j is whatever :meth:`Expr.pow` makes of it."""
+    a = chart.ctx_x.initial_points
     out = Expr.zero(chart.n)
     for c, exps in zip(e.coeffs.tolist(), e.exponents.tolist()):
         acc = Expr.constant(c, chart.n)
         for j, p in enumerate(exps):
-            if abs(p) <= EXP_TOL:
-                continue
-            fj = chart.forward[j]
-            if not isinstance(fj, Expr) or len(fj.coeffs) != 1:
-                raise UnsupportedError(
-                    "symbolic transform needs single-term forward maps; "
-                    "use a numeric matrix at a point instead")
-            base = fj + Expr.constant(-chart.ctx_x.initial_points[j], chart.n)
-            acc = acc * base.pow(p)
+            if abs(p) > EXP_TOL:
+                acc = acc * (chart.forward[j] + Expr.constant(-a[j], chart.n)).pow(p)
         out = out + acc
     return out
 
@@ -432,12 +440,10 @@ def transform_form(A: Form, J: JacobianMatrix) -> Form:
         comps = [eval_expr(c, chart.ctx_x, x_pt) for c in comps]
     else:
         comps = [_compose_monomial(c, chart) for c in comps]
-    terms: dict[WedgeWord, Expr] = {}
-    for i, column in enumerate(zip(*J.entries)):
-        coeff = _dot(comps, column, chart.n)
-        terms[WedgeWord((DiffFactor(i, nu),))] = (
-            coeff if isinstance(coeff, Expr) else Expr.constant(coeff, chart.n))
-    return Form(1, nu, terms)
+    coeffs = [_dot(comps, column, chart.n) for column in zip(*J.entries)]
+    return Form(1, nu, [(WedgeWord((DiffFactor(i, nu),)),
+                         c if isinstance(c, Expr) else Expr.constant(c, chart.n))
+                        for i, c in enumerate(coeffs)])
 
 
 def _dot(xs: Sequence, ys: Sequence, n: int):
@@ -476,8 +482,7 @@ def metric(chart: Chart, nu: float, point: Sequence[float] | None = None,
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = _dot(columns[i], columns[j], n)
-    return MetricMatrix(tuple(tuple(r) for r in rows), J.nu, J.m, chart,
-                        J.mode, J.point)
+    return MetricMatrix(tuple(tuple(r) for r in rows), J.nu, chart, J.point)
 
 
 def line_element(g: MetricMatrix, dy: Sequence[float]) -> float:

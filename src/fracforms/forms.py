@@ -10,6 +10,9 @@ reading under which an order-0 exterior derivative of a scalar stays a
 scalar).  Every word in one form must carry the same number of factors and
 the same total order; the factor orders themselves may differ word to word.
 
+The :class:`Form` constructor, which takes a mapping or (word, coefficient)
+pairs, is the one place that sums the coefficients of equal words.
+
 The text syntax of form literals is in :mod:`fracforms.symbolic`, whose
 scanner reads them; a sum-valued coefficient is written by repeating the
 wedge word.
@@ -27,43 +30,38 @@ from .symbolic import (
     Expr,
     exprs_close,
     fmt_number,
-    is_zero,
     parse_expr,
     print_expr,
     scan_terms,
     term_text,
 )
-from .tolerances import COEFF_DROP, EXP_TOL, key
+from .tolerances import COEFF_DROP, EXP_TOL, key as merge_key
 
 
 @dataclass(frozen=True)
 class DiffFactor:
-    """One differential factor d(coord, order) with order > 0."""
+    """One differential factor d(coord, order) with order > 0, keyed once."""
 
     coord: int
     order: float
+    key: tuple[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "order", float(self.order))
         if self.order < -EXP_TOL:
             raise ValueError(f"differential order must be >= 0, got {self.order}")
-
-    def key(self) -> tuple[int, float]:
-        return (self.coord, key(self.order))
+        object.__setattr__(self, "key", (self.coord, merge_key(self.order)))
 
 
 @dataclass(frozen=True)
 class WedgeWord:
-    """Factors sorted ascending by (coord, order); equality is by rounded key."""
+    """Factors sorted ascending by (coord, order); equality is by their keys."""
 
     factors: tuple[DiffFactor, ...] = field(compare=False)
-    _key: tuple[tuple[int, float], ...] = field(init=False, repr=False)
+    key: tuple[tuple[int, float], ...] = field(init=False, repr=False)
 
-    def __post_init__(self):  # rounded once: words are dict keys on every hot path
-        object.__setattr__(self, "_key", tuple(f.key() for f in self.factors))
-
-    def key(self) -> tuple[tuple[int, float], ...]:
-        return self._key
+    def __post_init__(self):
+        object.__setattr__(self, "key", tuple(f.key for f in self.factors))
 
     @property
     def grade(self) -> int:
@@ -82,7 +80,7 @@ def canonical_word(factors: Iterable[DiffFactor]) -> tuple[int, WedgeWord | None
     the zero word.
     """
     fs = [f for f in factors if abs(f.order) > EXP_TOL]
-    keys = [f.key() for f in fs]
+    keys = [f.key for f in fs]
     sign = 1
     # insertion sort, counting transpositions of adjacent factors
     for i in range(1, len(fs)):
@@ -101,13 +99,16 @@ def canonical_word(factors: Iterable[DiffFactor]) -> tuple[int, WedgeWord | None
 class Form:
     """A uniform-grade, uniform-total-order sum of coefficient-weighted words.
 
-    A grade-1 word's order, within ``EXP_TOL`` of the total order, is that order."""
+    ``terms`` (a mapping or (word, coefficient) pairs) is summed here alone:
+    equal words add in the order given and zero sums drop.  A grade-1 word's
+    order, within ``EXP_TOL`` of the total order, is that order."""
 
     __slots__ = ("grade", "total_order", "terms")
 
-    def __init__(self, grade: int, total_order: float, terms: Mapping[WedgeWord, Expr]):
-        cleaned: dict[WedgeWord, Expr] = {}
-        for word, coeff in terms.items():
+    def __init__(self, grade: int, total_order: float,
+                 terms: Mapping[WedgeWord, Expr] | Iterable[tuple[WedgeWord, Expr]]):
+        summed: dict[WedgeWord, Expr] = {}
+        for word, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             if word.grade != grade:
                 raise ValueError(
                     f"word of grade {word.grade} inside a grade-{grade} form"
@@ -118,13 +119,11 @@ class Form:
                 )
             if grade == 1 and word.factors[0].order != total_order:
                 word = WedgeWord((DiffFactor(word.factors[0].coord, total_order),))
-            if word in cleaned:  # two grade-1 words that now share the form's order
-                coeff = cleaned.pop(word) + coeff
-            if len(coeff.coeffs):
-                cleaned[word] = coeff
+            summed[word] = summed[word] + coeff if word in summed else coeff
         self.grade = grade
         self.total_order = float(total_order)
-        self.terms = dict(sorted(cleaned.items(), key=lambda kv: kv[0].key()))
+        self.terms = dict(sorted(((w, c) for w, c in summed.items() if len(c.coeffs)),
+                                 key=lambda kv: kv[0].key))
 
     @classmethod
     def zero(cls, grade: int = 0, total_order: float = 0.0) -> "Form":
@@ -159,10 +158,8 @@ class Form:
         if other.is_zero:
             return self
         self._binary_check(other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            out[word] = out[word] + coeff if word in out else coeff
-        return Form(self.grade, self.total_order, out)
+        return Form(self.grade, self.total_order,
+                    [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "Form":
         return Form(self.grade, self.total_order,
@@ -206,17 +203,14 @@ def forms_close(a: Form, b: Form, tol: float = COEFF_DROP) -> bool:
 
 def wedge(a: Form, b: Form) -> Form:
     """Graded exterior product; bilinear over coefficient expressions."""
-    grade = a.grade + b.grade
-    order = a.total_order + b.total_order
-    out: dict[WedgeWord, Expr] = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            sign, word = canonical_word(wa.factors + wb.factors)
-            if word is None:
-                continue
-            coeff = (ca * cb) * float(sign)
-            out[word] = out[word] + coeff if word in out else coeff
-    return Form(grade, order, out)
+    def products():
+        for wa, ca in a.terms.items():
+            for wb, cb in b.terms.items():
+                sign, word = canonical_word(wa.factors + wb.factors)
+                if word is not None:
+                    yield word, (ca * cb) * float(sign)
+
+    return Form(a.grade + b.grade, a.total_order + b.total_order, products())
 
 
 def frac_exterior_deriv(a: Form | Expr, nu: float, ctx: Context) -> Form:
@@ -232,21 +226,17 @@ def frac_exterior_deriv(a: Form | Expr, nu: float, ctx: Context) -> Form:
         raise ValueError(f"exterior derivative order must be >= 0, got {nu}")
     if isinstance(a, Expr):
         a = Form.scalar(a)
-    raises_grade = nu > EXP_TOL
-    grade = a.grade + (1 if raises_grade else 0)
-    order = a.total_order + nu
-    out: dict[WedgeWord, Expr] = {}
-    for word, coeff in a.terms.items():
-        for j in range(ctx.n):
-            sign, new_word = canonical_word((DiffFactor(j, nu),) + word.factors)
-            if new_word is None:  # d(j, nu) is already in the word
-                continue
-            dc = rl_deriv(coeff, j, nu, ctx)
-            if is_zero(dc):
-                continue
-            dc = -dc if sign < 0 else dc
-            out[new_word] = out[new_word] + dc if new_word in out else dc
-    return Form(grade, order, out)
+
+    def derivatives():
+        for word, coeff in a.terms.items():
+            for j in range(ctx.n):
+                sign, new_word = canonical_word((DiffFactor(j, nu),) + word.factors)
+                if new_word is not None:  # else d(j, nu) is already in the word
+                    dc = rl_deriv(coeff, j, nu, ctx)
+                    yield new_word, -dc if sign < 0 else dc
+
+    grade = a.grade + (1 if nu > EXP_TOL else 0)
+    return Form(grade, a.total_order + nu, derivatives())
 
 
 # --- text and JSON front ends ----------------------------------------------
@@ -310,13 +300,12 @@ def form_to_json(form: Form, ctx: Context) -> dict:
 
 
 def form_from_json(obj: dict, ctx: Context) -> Form:
-    accum: dict[WedgeWord, Expr] = {}
+    pairs = []
     for item in obj["terms"]:
         factors = [DiffFactor(ctx.index(f["coord"]), float(f["order"]))
                    for f in item["factors"]]
         sign, word = canonical_word(factors)
-        if word is None:
-            continue
-        coeff = parse_expr(item["coeff"], ctx) * float(item.get("sign", 1)) * float(sign)
-        accum[word] = accum[word] + coeff if word in accum else coeff
-    return Form(int(obj["grade"]), float(obj["total_order"]), accum)
+        if word is not None:
+            coeff = parse_expr(item["coeff"], ctx) * float(item.get("sign", 1)) * float(sign)
+            pairs.append((word, coeff))
+    return Form(int(obj["grade"]), float(obj["total_order"]), pairs)

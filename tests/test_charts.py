@@ -21,6 +21,7 @@ from fracforms import (
     QuadratureDomainError,
     UnsupportedError,
     alpha_k,
+    eval_expr,
     exprs_close,
     frac_exterior_deriv,
     get_chart,
@@ -280,6 +281,16 @@ def test_numeric_jacobian_requires_point_above_anchor():
         jacobian(get_chart("polar"), 0.5, point=(0.0, 0.5))
 
 
+def test_numeric_entry_domain_error_names_the_chart_entry_and_order():
+    # the reversed affine chart's GL samples along x1 reach a negative base
+    # of the nu - m spectator power
+    with pytest.raises(QuadratureDomainError) as info:
+        inverse_residual(get_chart("affine:1,2;3,4"), 0.5, (1.0, 2.0))
+    assert str(info.value) == ("chart 'affine:1,2;3,4~rev', entry (k=0, i=0) along x1 "
+                               "at order 0.5: integrand undefined at sample node t=3.6665")
+    assert isinstance(info.value.__cause__, QuadratureDomainError)
+
+
 def test_numeric_mode_matches_symbolic_for_scaling():
     sym = jacobian(get_chart("scale:2"), 0.5).evaluate((1.5,)).as_array()
     num = jacobian(get_chart("scale:2").black_box(), 0.5, point=(1.5,)).as_array()
@@ -350,6 +361,41 @@ def test_transform_whole_order_affine():
     assert print_form(got, J.chart.ctx_y) == print_form(want, J.chart.ctx_y)
 
 
+def test_affine_pullback_of_a_polynomial_form_is_the_classical_one():
+    # x1 = y1 + 2 y2, x2 = 3 y1 + 4 y2: x1^2 dx1 + x2 dx2 pulls back to
+    # (x1^2 + 3 x2) dy1 + (2 x1^2 + 4 x2) dy2, 32.79 and 50.98 at y = (0.7, 1.3)
+    chart = get_chart("affine:1,2;3,4")
+    A = parse_form("x1^2 d(x1,1) + x2 d(x2,1)", chart.ctx_x)
+    y = (0.7, 1.3)
+    got = transform_form(A, jacobian(chart, 1.0))
+    want = parse_form(" + ".join(
+        f"{term} d(y{i},1)" for i, terms in (
+            (1, ("y1^2", "4*y1*y2", "4*y2^2", "9*y1", "12*y2")),
+            (2, ("2*y1^2", "8*y1*y2", "8*y2^2", "12*y1", "16*y2")))
+        for term in terms), chart.ctx_y)
+    assert print_form(got, chart.ctx_y) == print_form(want, chart.ctx_y)
+    values = [eval_expr(got.component(i, 2), chart.ctx_y, y) for i in range(2)]
+    assert values == pytest.approx([32.79, 50.98], rel=1e-14)
+    boxed = transform_form(A, jacobian(chart.black_box(), 1.0, y))
+    values = [float(boxed.component(i, 2).coeffs[0]) for i in range(2)]
+    assert values == pytest.approx([32.79, 50.98], rel=1e-8)
+
+
+def test_fractional_power_of_a_multi_term_map_is_unsupported():
+    chart = get_chart("affine:1,2;3,4")
+    A = parse_form("x1^0.5 d(x1,1)", chart.ctx_x)
+    with pytest.raises(UnsupportedError, match="fractional powers"):
+        transform_form(A, jacobian(chart, 1.0))
+
+
+def test_transform_rejects_other_grades_and_orders():
+    J = jacobian(get_chart("scale:2,3"), 0.5)
+    with pytest.raises(ValueError, match="grade-1"):
+        transform_form(parse_form("x1 d(x1,0.5) & d(x2,0.5)", J.chart.ctx_x), J)
+    with pytest.raises(ValueError, match="form order 0.7 != matrix order 0.5"):
+        transform_form(parse_form("x1 d(x1,0.7)", J.chart.ctx_x), J)
+
+
 def test_transform_numeric_mode_contracts_at_the_point():
     r, th = 2.0, math.pi / 3.0
     J = jacobian(get_chart("polar"), 1.0, point=(r, th))
@@ -387,9 +433,28 @@ def test_scaling_metric_symbolic():
 
 
 def test_line_element_rejects_negative_quadratic_form():
-    bad = MetricMatrix(((-1.0,),), 0.5, 1, get_chart("scale:2"), "numeric", (1.0,))
+    bad = MetricMatrix(((-1.0,),), 0.5, get_chart("scale:2"), (1.0,))
     with pytest.raises(NegativeQuadraticFormError):
         line_element(bad, (1.0,))
+
+
+def test_line_element_negativity_bound_is_absolute_1e_12():
+    chart = get_chart("scale:2")
+    assert line_element(MetricMatrix(((-1e-13,),), 0.5, chart, (1.0,)), (1.0,)) == 0.0
+    with pytest.raises(NegativeQuadraticFormError):
+        line_element(MetricMatrix(((-1e-11,),), 0.5, chart, (1.0,)), (1.0,))
+
+
+def test_matrix_mode_and_m_follow_point_and_order():
+    chart = get_chart("scale:2")
+    sym = MetricMatrix(((Expr.constant(4.0, 1),),), 1.5, chart)
+    assert (sym.mode, sym.m) == ("symbolic", 2)
+    with pytest.raises(ValueError, match="symbolic matrix"):
+        sym.as_array()
+    num = sym.evaluate((1.0,))
+    assert (num.mode, num.m, num.point, num.as_array().tolist()) == ("numeric", 2, (1.0,), [[4.0]])
+    assert num.evaluate((2.0,)) is num
+    assert MetricMatrix(((1.0,),), 3.0, chart, (1.0,)).m == 3
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,23 @@ def test_chart_domain_error_exits_3(capsys):
     assert code == 3
 
 
+def test_residual_domain_error_names_the_reversed_chart(capsys):
+    code, out, err = run(capsys, "jacobian", "--chart", "affine:1,2;3,4", "--order", "0.5",
+                         "--point", "1,2", "--residual")
+    assert code == 3
+    assert out == ""
+    assert err == ("domain error: chart 'affine:1,2;3,4~rev', entry (k=0, i=0) along x1 "
+                   "at order 0.5: integrand undefined at sample node t=3.6665")
+
+
+def test_whole_numeric_order_above_three_exits_4(capsys):
+    code, out, err = run(capsys, "jacobian", "--chart", "polar", "--order", "4",
+                         "--point", "1,0.5")
+    assert code == 4
+    assert out == ""
+    assert err == "unsupported: whole-order numeric derivatives go up to 3, got 4"
+
+
 def test_unknown_chart_exits_3(capsys):
     code, _, err = run(capsys, "jacobian", "--chart", "what", "--order", "1",
                        "--point", "1,1")

@@ -1,5 +1,7 @@
 """Wedge algebra on fractional differentials and the graded derivative."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +81,18 @@ def test_diff_factor_rejects_negative_order():
         DiffFactor("x1", -0.5)
 
 
+def test_diff_factor_key_is_set_once_and_ignored_by_equality():
+    a, b = DiffFactor(0, 0.5), DiffFactor(0, 0.5 + 1e-12)
+    assert a.key == b.key == (0, 0.5)
+    assert a != b  # factors compare their exact orders
+    assert WedgeWord((a,)) == WedgeWord((b,))  # words compare keys
+    assert WedgeWord((a, DiffFactor(1, 0.25))).key == ((0, 0.5), (1, 0.25))
+    with pytest.raises(TypeError):
+        DiffFactor(0, 0.5, key=(0, 1.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.key = (0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # form construction
 
@@ -123,6 +137,30 @@ def test_form_arithmetic():
     assert len(total.terms) == 2
     assert forms_close(total - b, a)
     assert forms_close(2.0 * a, a + a)
+
+
+def test_form_sums_pairs_of_equal_words_in_order():
+    w1, w2 = WedgeWord((d("x1", 0.5),)), WedgeWord((d("x2", 0.5),))
+
+    def e(text):
+        return parse_expr(text, XY)
+
+    got = Form(1, 0.5, [(w2, e("x1")), (w1, e("x2")), (w2, e("2*x2 - x1")),
+                        (w1, -e("x2")), (w1, e("x1^2"))])
+    assert list(got.terms) == [w1, w2]
+    assert got.terms[w1] == e("x1^2") and got.terms[w2] == e("2*x2")
+    assert got == Form(1, 0.5, {w2: e("2*x2"), w1: e("x1^2")})
+    assert Form(1, 0.5, [(w1, e("x1")), (w1, -e("x1"))]).is_zero
+
+
+def test_forms_of_different_orders_do_not_add():
+    with pytest.raises(ValueError, match="different grade or total order"):
+        one_form("x1", None, nu=0.5) + one_form("x1", None, nu=0.7)
+
+
+def test_components_need_a_grade_1_form():
+    with pytest.raises(ValueError, match="grade-1"):
+        parse_form("x1 d(x1,0.5) & d(x2,0.5)", XY).component(0, 2)
 
 
 def test_forms_close_tolerance():

@@ -143,6 +143,20 @@ def test_interior_singularity_rejected():
         gl_deriv(f, 0.5, 1.0, 0.0, h=1e-3)
 
 
+@pytest.mark.parametrize("k", [100, 99])
+def test_only_the_initial_point_node_may_be_undefined(k):
+    # nan at node k = 100, t = a, drops that node; at k = 99, t = a + h, it is an error
+    x, h = 1.0, 0.01
+    bad = x - h * k
+    f = lambda t: np.where(np.asarray(t) == bad, np.nan, 1.0 + np.asarray(t))
+    if k == 100:
+        assert math.isfinite(gl_deriv(f, 0.5, x, 0.0, h=h))
+    else:
+        with pytest.raises(QuadratureDomainError) as exc:
+            gl_deriv(f, 0.5, x, 0.0, h=h)
+        assert str(exc.value) == f"integrand undefined at sample node t={bad}"
+
+
 def test_a_programming_error_in_the_integrand_propagates():
     # only arithmetic, value and type errors mark a node undefined
     calls = []

@@ -258,6 +258,16 @@ def test_product_series_flags_truncation():
     assert cut.tail_estimate > 1e-9
 
 
+@pytest.mark.parametrize("tail, truncated", [(0.9e-9, False), (1.1e-9, True)])
+def test_product_series_truncation_threshold_is_absolute_1e_9(tail, truncated):
+    # with K = 1 the dropped term of c*x^2 times x^3 is binom(0.5, 2) * 6x *
+    # D^-1.5 c*x^2, of magnitude 1.5 c / gamma(4.5) at the probe x = 1
+    c = tail * math.gamma(4.5) / 1.5
+    cut = product_rule_series(monomial(X, c, {0: 2.0}), parse_expr("x^3", X), "x", 0.5, X, K=1)
+    assert cut.tail_estimate == pytest.approx(tail, rel=1e-12)
+    assert cut.truncated is truncated
+
+
 @pytest.mark.parametrize("error", [AssertionError, TypeError])
 def test_product_series_tail_probe_lets_programming_errors_through(monkeypatch, error):
     def broken(*args):
