@@ -368,8 +368,8 @@ def jacobian(chart: Chart, nu: float, point: Sequence[float] | None = None,
     ``EXP_TOL`` of a whole k is taken as k.
     """
     nu = float(nu)
-    if nu <= 0:
-        raise ValueError(f"order must be positive, got {nu}")
+    if not 0 < nu < math.inf:
+        raise ValueError(f"jacobian order must be positive and finite, got {nu}")
     whole = snap_int(nu)
     if whole is not None:
         nu = float(whole)

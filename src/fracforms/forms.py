@@ -20,6 +20,7 @@ wedge word.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -48,8 +49,8 @@ class DiffFactor:
 
     def __post_init__(self):
         object.__setattr__(self, "order", float(self.order))
-        if self.order < -EXP_TOL:
-            raise ValueError(f"differential order must be >= 0, got {self.order}")
+        if not -EXP_TOL <= self.order < math.inf:
+            raise ValueError(f"differential order must be >= 0 and finite, got {self.order}")
         object.__setattr__(self, "key", (self.coord, merge_key(self.order)))
 
 
@@ -222,8 +223,8 @@ def frac_exterior_deriv(a: Form | Expr, nu: float, ctx: Context) -> Form:
     grade does not change and each coefficient picks up one copy per coordinate.
     """
     nu = float(nu)
-    if nu < 0:
-        raise ValueError(f"exterior derivative order must be >= 0, got {nu}")
+    if not 0 <= nu < math.inf:
+        raise ValueError(f"exterior derivative order must be >= 0 and finite, got {nu}")
     if isinstance(a, Expr):
         a = Form.scalar(a)
 

@@ -128,16 +128,24 @@ def _gl_levels(f, q: float, x: float, a: float, steps: int, levels: int) -> list
     return sums
 
 
+def _check_grid(q: float, x: float, a: float, h: float) -> None:
+    """Reject what no GL sum is defined for: an order that is not finite, a
+    point not above the initial point, a step that is not positive and finite."""
+    if not math.isfinite(q):
+        raise ValueError(f"GL order must be finite, got {q}")
+    if not x > a:
+        raise ValueError(f"evaluation point must sit above the initial point ({x} <= {a})")
+    if not 0 < h < math.inf:
+        raise ValueError(f"GL step must be positive and finite, got {h}")
+
+
 def gl_deriv(f: Callable, q: float, x: float, a: float = 0.0, h: float = 1e-4) -> float:
     """Grunwald-Letnikov differintegral of order q at x, anchored at a.
 
     ``h`` is nudged to the nearest value that divides x - a into a whole
     number of steps (at least :data:`MIN_STEPS`).
     """
-    if not x > a:
-        raise ValueError(f"evaluation point must sit above the initial point ({x} <= {a})")
-    if h <= 0:
-        raise ValueError("step must be positive")
+    _check_grid(q, x, a, h)
     steps = int(round((x - a) / h))
     if steps < MIN_STEPS:
         raise ValueError(
@@ -184,8 +192,7 @@ def richardson(f: Callable, q: float, x: float, a: float = 0.0, h0: float = 1e-4
     """
     if not 2 <= levels <= 5:
         raise ValueError(f"levels must be between 2 and 5, got {levels}")
-    if not x > a:
-        raise ValueError(f"evaluation point must sit above the initial point ({x} <= {a})")
+    _check_grid(q, x, a, h0)
     steps0 = max(MIN_STEPS, int(round((x - a) / h0)))
     plain = _gl_levels(f, float(q), float(x), float(a), steps0, levels)
     rows = richardson_table(plain, range(1, levels))

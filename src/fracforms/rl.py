@@ -54,6 +54,8 @@ def power_rule_map(e: Expr, coord: int, q: float, ctx: Context,
     1/prod gamma(d); the coordinate-transform module uses it so that ratios
     like gamma(nu+1)/gamma(nu+1) cancel exactly.
     """
+    if not math.isfinite(q):
+        raise ValueError(f"differintegral order must be finite, got {q}")
     coord = ctx.index(coord)
     p = e.exponents[:, coord]
     # the distinct exponents, ascending; 0.0 and -0.0 count as one (same factor)
@@ -93,8 +95,8 @@ def rl_deriv(e: Expr, coord: int | str, q: float, ctx: Context) -> Expr:
 
 def rl_integ(e: Expr, coord: int | str, q: float, ctx: Context) -> Expr:
     """Fractional integral of order q > 0 from the initial point."""
-    if q <= 0:
-        raise ValueError(f"integral order must be positive, got {q}")
+    if not 0 < q < math.inf:
+        raise ValueError(f"integral order must be positive and finite, got {q}")
     return power_rule_map(e, ctx.index(coord), -float(q), ctx)
 
 

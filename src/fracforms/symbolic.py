@@ -36,11 +36,11 @@ canonical.
 
 Canonicalization snaps exponents within ``EXP_TOL`` (1e-9) of 0 to 0,
 merges terms whose exponent vectors have the same merge key (the exponent
-rounded to nine decimals) in every coordinate, drops coefficients below
-``COEFF_DROP`` (1e-12) in magnitude, and sorts terms lexicographically by
-key, so equal expressions have identical representations.  The thresholds
-and the key are defined in :mod:`fracforms.tolerances`, the one home of the
-tolerance policy.  A merged coefficient is the left fold of the merged terms'
+times 10^9, rounded half to even to a whole number, over 10^9) in every
+coordinate, drops coefficients below ``COEFF_DROP`` (1e-12) in magnitude,
+and sorts terms lexicographically by key, so equal expressions have
+identical representations.  The thresholds and the key are defined in
+:mod:`fracforms.tolerances`, the one home of the tolerance policy.  A merged coefficient is the left fold of the merged terms'
 coefficients in input order (first + second + ...), and each merged exponent
 is, per coordinate, the last one in input order among those closest to the
 key.  The result does not depend on how the merge is carried out: the
@@ -75,7 +75,7 @@ from .errors import (
     UnsupportedError,
 )
 from .specialfn import snap_int
-from .tolerances import COEFF_DROP, EXP_TOL, KEY_DIGITS, key, keys
+from .tolerances import COEFF_DROP, EXP_TOL, key, keys
 
 # Up to this many terms canonicalize merges in a dict loop; above it, with
 # lexsort and bincount.  Both give the same doubles (a property test checks
@@ -346,19 +346,14 @@ def _merge_one(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _merge_loop(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical merge as a dict loop, for a few terms.
-
-    The key is written as the builtin ``round`` with ``KEY_DIGITS``, the same
-    doubles as :func:`fracforms.tolerances.key` without a call per exponent.
-    """
+    """The canonical merge as a dict loop, for a few terms."""
     cs, rows = coeffs.tolist(), exponents.tolist()
     if not (math.isfinite(sum(cs)) and math.isfinite(sum(map(sum, rows)))):
         _check_finite(coeffs, exponents)  # else only the sum overflowed
-    digits = KEY_DIGITS
     buckets: dict[tuple[float, ...], list] = {}
     for c, row in zip(cs, rows):
         exps = tuple([0.0 if abs(p) <= EXP_TOL else p for p in row])
-        bucket = tuple([round(p, digits) if p else 0.0 for p in exps])
+        bucket = tuple(map(key, exps))
         slot = buckets.get(bucket)
         if slot is None:
             buckets[bucket] = [exps, c]
@@ -521,22 +516,10 @@ def _expr_patterns() -> re.Pattern:
 
 @functools.cache
 def _form_patterns() -> re.Pattern:
-    """The form-term pattern, compiled when a text holding ``d(`` is first
-    read as a form, so a process that reads only expressions never compiles
-    it."""
+    """The form-term pattern, compiled when a text is first read as a form
+    (a form literal, or coordinate inference on any input), so a process
+    that reads only expressions never compiles it."""
     return _term_re(True)
-
-
-@functools.cache
-def _diff_start() -> re.Pattern:
-    return re.compile(r"d\s*\(")
-
-
-def _has_differential(text: str) -> bool:
-    """Does ``d(`` (whitespace allowed before the parenthesis) occur in the
-    text?  Only then can a form literal hold a differential; on any other
-    text the expression and form patterns match the same terms."""
-    return _diff_start().search(text) is not None
 
 
 def _number(text: str) -> float:
@@ -559,15 +542,13 @@ def scan_terms(text: str, index: Callable[[str], int], n: int,
     One regular-expression match per term validates the text.  The factor
     run and the wedge it matched are then cut at ``*`` and ``&``, and each
     distinct factor text (``x2^0.75``) and wedge text is read once per call.
-    A form text in which no ``d(`` occurs is matched with the expression
-    pattern, which matches the same terms there.
 
     Errors come in the order of the text: a :class:`ParseError` where the
     text leaves the grammar, or whatever ``index`` or ``differential`` raise
     on an earlier factor.  A character no token starts with is reported
     before anything else.
     """
-    form = differential is not None and _has_differential(text)
+    form = differential is not None
     term_re = _form_patterns() if form else _expr_patterns()
     coeffs, rows, diffs = [], [], []
     # factor and wedge texts repeat across terms: each distinct text, as
@@ -783,7 +764,7 @@ def _shift_keeps_keys(values: list[float], delta: float) -> bool:
     expression keep distinct keys in the same lexicographic order
     after the shift, and the merge would return them unchanged.
     """
-    delta = float(delta)  # Python floats, so the keys are Python's round
+    delta = float(delta)  # Python floats, which key rounds fastest
     new = [p + delta for p in values]
     if not math.isfinite(sum(new)):  # also when only the sum overflows
         return False

@@ -20,10 +20,14 @@ it.  What each one decides:
     A residual coefficient at or below ``RESIDUAL_TOL`` counts as zero: a
     closedness witness, an exactness leftover, a verification residual.
 ``key`` / ``keys``
-    The merge key of an exponent, ``round(p, KEY_DIGITS)``; terms whose
-    exponents share the key in every coordinate are one term.  ``KEY_DIGITS``
-    is the number of decimals ``EXP_TOL`` resolves (9), so exponents that
-    round to one key differ by less than a tolerance step.
+    The merge key of an exponent: ``p * 10**KEY_DIGITS`` rounded half to
+    even to a whole number, divided by ``10**KEY_DIGITS``.  Terms whose
+    exponents share the key in every coordinate are one term.
+    ``KEY_DIGITS`` is the number of decimals ``EXP_TOL`` resolves (9), so
+    exponents that round to one key differ by less than a tolerance step.
+    ``key`` (one Python float) and ``keys`` (a numpy array) carry out the
+    same IEEE operations and give the same doubles, except that a zero key
+    may differ in sign; keys are only compared, so it does not matter.
 
 All three thresholds are absolute.
 """
@@ -43,22 +47,15 @@ _KEY_SCALE = 10.0 ** KEY_DIGITS
 
 
 def key(p: float) -> float:
-    """The merge key of one exponent."""
-    return round(p, KEY_DIGITS)
+    """The merge key of one exponent.
+
+    A product of 2^52 or more is already whole, and leaving it as it is
+    keeps ``round`` from raising on an infinite product.
+    """
+    y = p * _KEY_SCALE
+    return (round(y) if abs(y) < 2.0 ** 52 else y) / _KEY_SCALE
 
 
 def keys(p: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`key`, the same doubles as Python's round.
-
-    ``rint(p * 10**KEY_DIGITS) / 10**KEY_DIGITS`` is Python's answer whenever
-    the rounded product sits clearly off a half-integer and is small enough
-    for exact integers (below 2^20 the product stays under 2^50 at nine
-    digits); the few entries where that is not certain go through Python's
-    round.
-    """
-    y = p * _KEY_SCALE
-    out = np.rint(y) / _KEY_SCALE
-    doubt = (np.abs(p) >= 2.0 ** 20) | (np.abs(y - np.floor(y) - 0.5) <= np.abs(y) * 2.0 ** -52)
-    if doubt.any():
-        out[doubt] = [round(v, KEY_DIGITS) for v in p[doubt].tolist()]
-    return out
+    """Elementwise :func:`key`."""
+    return np.rint(p * _KEY_SCALE) / _KEY_SCALE

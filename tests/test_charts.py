@@ -281,6 +281,19 @@ def test_numeric_jacobian_requires_point_above_anchor():
         jacobian(get_chart("polar"), 0.5, point=(0.0, 0.5))
 
 
+@pytest.mark.parametrize("nu", [math.inf, math.nan])
+def test_jacobian_rejects_an_order_that_is_not_finite(nu):
+    for chart in (get_chart("polar"), get_chart("scale:2")):
+        with pytest.raises(ValueError, match=f"jacobian order must be positive and finite, got {nu}"):
+            jacobian(chart, nu, (2.0,) * chart.n)
+
+
+@pytest.mark.parametrize("h0", [0.0, -0.1, math.inf, math.nan])
+def test_numeric_jacobian_rejects_a_step_that_is_not_positive_and_finite(h0):
+    with pytest.raises(ValueError, match=f"GL step must be positive and finite, got {h0}"):
+        jacobian(get_chart("polar"), 0.5, (2.0, 0.7), h0=h0)
+
+
 def test_numeric_entry_domain_error_names_the_chart_entry_and_order():
     # the reversed affine chart's GL samples along x1 reach a negative base
     # of the nu - m spectator power

@@ -45,6 +45,32 @@ def test_deriv_domain_error_exits_3(capsys):
     assert err.startswith("domain error:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["deriv", "x^2", "--var", "x", "--order", "inf"],
+     "differintegral order must be finite, got inf"),
+    (["dv", "x^2", "--order", "inf"], "exterior derivative order must be >= 0 and finite, got inf"),
+    (["integ", "x^2", "--var", "x", "--order", "1e999"],
+     "integral order must be positive and finite, got inf"),
+    (["jacobian", "--chart", "polar", "--order", "inf", "--point", "1,1"],
+     "jacobian order must be positive and finite, got inf"),
+    (["oracle", "x^2", "--var", "x", "--order", "nan", "--point", "2"],
+     "GL order must be finite, got nan"),
+    (["dv", "x d(x,1e999)", "--order", "0.5"],
+     "differential order must be >= 0 and finite, got inf"),
+    (["closed", "x d(x,1e999) + y d(y,1e999)"],
+     "differential order must be >= 0 and finite, got inf"),
+    (["oracle", "x^2", "--var", "x", "--order", "0.5", "--point", "2", "--h", "0"],
+     "GL step must be positive and finite, got 0.0"),
+    (["oracle", "x^2", "--var", "x", "--order", "0.5", "--point", "2", "--h", "-0.1"],
+     "GL step must be positive and finite, got -0.1"),
+    (["jacobian", "--chart", "polar", "--order", "0.5", "--point", "2,0.7", "--h", "0"],
+     "GL step must be positive and finite, got 0.0"),
+])
+def test_orders_and_steps_outside_the_domain_exit_3(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", f"domain error: {message}")
+
+
 def test_deriv_json(capsys):
     code, out, _ = run(
         capsys, "deriv", "x", "--var", "x", "--order", "0.5", "--json"

@@ -81,6 +81,17 @@ def test_diff_factor_rejects_negative_order():
         DiffFactor("x1", -0.5)
 
 
+@pytest.mark.parametrize("order", [float("inf"), float("nan")])
+def test_orders_that_are_not_finite_are_rejected(order):
+    with pytest.raises(ValueError, match=f"differential order must be >= 0 and finite, got {order}"):
+        DiffFactor(0, order)
+    with pytest.raises(ValueError, match=f"exterior derivative order must be >= 0 and finite, "
+                                         f"got {order}"):
+        frac_exterior_deriv(parse_expr("x1^2", XY), order, XY)
+    with pytest.raises(ValueError, match="differential order must be >= 0 and finite, got inf"):
+        parse_form("x1 d(x1,1e999)", XY)
+
+
 def test_diff_factor_key_is_set_once_and_ignored_by_equality():
     a, b = DiffFactor(0, 0.5), DiffFactor(0, 0.5 + 1e-12)
     assert a.key == b.key == (0, 0.5)

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -456,8 +455,8 @@ def test_form_differential_names_declared_coordinates(capsys):
 
 def test_form_patterns_compile_when_a_form_is_first_read():
     # in a fresh process: importing fracforms compiles no term pattern, and
-    # reading an expression, a verb that reads no form text and coordinate
-    # inference on an expression compile no form pattern
+    # reading an expression and a verb given its coordinates compile no form
+    # pattern; coordinate inference reads its input as a form
     code = "\n".join((
         "import fracforms",
         "from fracforms import cli, symbolic",
@@ -467,10 +466,10 @@ def test_form_patterns_compile_when_a_form_is_first_read():
         "fracforms.parse_expr('2*x^0.5 - x', ctx)",
         "assert symbolic._expr_patterns.cache_info().currsize == 1",
         "assert cli.main(['deriv', 'x^2', '--var', 'x', '--order', '0.5', '--coords', 'x']) == 0",
-        "assert cli.main(['deriv', 'x^2', '--var', 'x', '--order', '0.5']) == 0",
         "assert symbolic._form_patterns.cache_info().currsize == 0",
         "fracforms.parse_form('x d(x,0.5)', ctx)",
         "assert symbolic._form_patterns.cache_info().currsize == 1",
+        "assert cli.main(['deriv', 'x^2', '--var', 'x', '--order', '0.5']) == 0",
     ))
     src = str(Path(fracforms.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -480,51 +479,31 @@ def test_form_patterns_compile_when_a_form_is_first_read():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def outcome_or_error(read, text):
-    """What ``read(text)`` returns, or the type, message and position of its error."""
-    try:
-        return read(text)
-    except (ParseError, ValueError) as exc:
-        return type(exc), str(exc), getattr(exc, "position", None)
+def _pinned(text, want):
+    return pytest.param(text, want, id=text)
 
 
-def form_pattern_names(text):
-    """Coordinate inference as a form read with the form pattern, whatever
-    the text holds."""
-    names = set()
-
-    def column(name):
-        names.add(name)
-        return 0
-
-    with mock.patch.object(symbolic, "_has_differential", lambda text: True):
-        symbolic.scan_terms(text, column, 1, lambda coord, order: None)
-    return tuple(sorted(names))
-
-
-def check_inference_reads_alike(text):
-    """On a text with no ``d(``, coordinate inference reads with the
-    expression pattern, and must give what a form read gives."""
-    if symbolic._has_differential(text):
-        return
-    assert outcome_or_error(infer_coords, text) == outcome_or_error(form_pattern_names, text), text
-
-
-@given(SEEDS, st.sampled_from(CONTEXTS), st.booleans())
-@settings(max_examples=500, deadline=None)
-def test_inference_reads_expressions_like_forms(seed, context, mutated):
-    rng = random.Random(seed)
-    text = make_text(rng, context[1], form=False)
-    check_inference_reads_alike(mutate(rng, text) if mutated else text)
-
-
-@pytest.mark.parametrize("text", [
-    "1e999*x )",  # an overflow does not outrank trailing input when inferring
-    "x^1e308*y^1e308 )",  # both names share inference's one column
-    "d^2*x - d*d", "x^", "2*x^2^3", "x*", "x ^ - 2 * y $", "", "d (",
+@pytest.mark.parametrize("text, want", [
+    # an overflow does not outrank trailing input when inferring
+    _pinned("1e999*x )", (ParseError, "trailing input ')' (at position 8)", 8)),
+    # both names share inference's one column
+    _pinned("x^1e308*y^1e308 )", (ParseError, "trailing input ')' (at position 16)", 16)),
+    _pinned("d^2*x - d*d", ("d", "x")),
+    _pinned("x^", (ParseError, "expected a number after '^' (at position 1)", 1)),
+    _pinned("2*x^2^3", (ParseError, "trailing input '^3' (at position 5)", 5)),
+    _pinned("x*", (ParseError, "expected a coordinate after '*' (at position 1)", 1)),
+    _pinned("x ^ - 2 * y $", (ParseError, "unexpected character '$' (at position 11)", 11)),
+    _pinned("", (ParseError, "expected a term, found 'end of input' (at position 0)", 0)),
+    _pinned("d (", (ParseError, "expected d(coordinate, order) (at position 0)", 0)),
 ])
-def test_inference_reads_expressions_like_forms_examples(text):
-    check_inference_reads_alike(text)
+def test_inference_reads_expressions_like_forms_examples(text, want):
+    # coordinate inference on text with no differential: the names, or the
+    # type, message and position of the error
+    try:
+        got = infer_coords(text)
+    except (ParseError, ValueError) as exc:
+        got = type(exc), str(exc), getattr(exc, "position", None)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

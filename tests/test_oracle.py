@@ -123,6 +123,27 @@ def test_rejects_nonpositive_step():
         gl_deriv(lambda t: t, 0.5, 1.0, 0.0, h=0.0)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.1, math.inf, math.nan])
+def test_both_sums_reject_a_step_that_is_not_positive_and_finite(h):
+    for gl in (lambda: gl_deriv(lambda t: t, 0.5, 2.0, 0.0, h),
+               lambda: richardson(lambda t: t, 0.5, 2.0, 0.0, h)):
+        with pytest.raises(ValueError, match=f"GL step must be positive and finite, got {h}"):
+            gl()
+
+
+@pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+def test_both_sums_reject_an_order_that_is_not_finite(q):
+    for gl in (lambda: gl_deriv(lambda t: t, q, 2.0), lambda: richardson(lambda t: t, q, 2.0)):
+        with pytest.raises(ValueError, match=f"GL order must be finite, got {q}"):
+            gl()
+
+
+def test_richardson_takes_at_least_min_steps():
+    # a step too coarse for MIN_STEPS nodes is refined, where gl_deriv raises
+    res = richardson(lambda t: t * t, 1.0, 1.0, 0.0, h0=0.5)
+    assert res.value == pytest.approx(2.0, rel=1e-9)
+
+
 def test_rejects_too_few_nodes():
     with pytest.raises(ValueError) as exc:
         gl_deriv(lambda t: t, 0.5, 1.0, 0.0, h=0.5)

@@ -211,6 +211,18 @@ def test_compose_residual_rejects_negative_orders():
         compose_residual(parse_expr("x", X), "x", -0.1, 0.5, X)
 
 
+@pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+def test_orders_that_are_not_finite_are_rejected(q):
+    # the power rule is where every differintegral order enters
+    x2 = parse_expr("x^2", X)
+    with pytest.raises(ValueError, match=f"differintegral order must be finite, got {q}"):
+        rl_deriv(x2, "x", q, X)
+    with pytest.raises(ValueError, match=f"differintegral order must be finite, got {q}"):
+        rl.power_rule_map(x2, 0, q, X, (1.5,))
+    with pytest.raises(ValueError, match=f"integral order must be positive and finite, got {q}"):
+        rl_integ(x2, "x", q, X)
+
+
 # ---------------------------------------------------------------------------
 # boundary restriction helper
 

@@ -114,11 +114,17 @@ def test_canonicalize_idempotent():
 # (compared as float.hex, so -0.0 and 0.0 differ).
 
 
+def _ref_key(p):
+    """The merge key written out: p * 1e9 rounded half to even, over 1e9."""
+    y = p * 1e9
+    return (round(y) if abs(y) < 2.0 ** 52 else y) / 1e9
+
+
 def _ref_canonicalize(terms, n):
     buckets = {}
     for c, t_exps in terms:
         exps = tuple(0.0 if abs(p) <= EXP_TOL else p for p in t_exps)
-        key = tuple(round(p, 9) for p in exps)
+        key = tuple(_ref_key(p) for p in exps)
         if key in buckets:
             slot = buckets[key]
             slot[0] = tuple(
@@ -191,13 +197,27 @@ def term_lists(draw, n=2, max_size=40):
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @example(2.0 ** -10)  # 0.0009765625: an exact decimal tie at the ninth digit
-@example(0.1234567895)
+@example(0.1234567895)  # a decimal tie at the tenth digit
 @example(-2.5e-9)
+@example(2.0 ** 20 + 0.25)
+@example(2.0 ** 52 / 1e9)  # the product is 2^52: already whole
+@example(1e300)  # the product overflows to inf
+@example(-1e300)
 @settings(max_examples=300, deadline=None)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_vectorized_key_rounding_matches_python_round(p):
-    got = tolerances.keys(np.array([p, -p]))
-    assert [v.hex() for v in got.tolist()] == [round(p, 9).hex(), round(-p, 9).hex()]
+def test_vectorized_key_matches_key(p):
+    # equal as floats: a zero key may differ in sign
+    assert tolerances.keys(np.array([p, -p])).tolist() == [tolerances.key(p), tolerances.key(-p)]
+
+
+def test_key_rounds_the_scaled_exponent_half_to_even():
+    # 0.1234567895 * 1e9 is the double 123456789.5, a tie that goes to the
+    # even 123456790; rounding the decimal value at nine digits would keep
+    # 0.123456789
+    assert tolerances.key(0.1234567895) == 0.12345679
+    assert tolerances.keys(np.array([0.1234567895])).tolist() == [0.12345679]
+    assert tolerances.key(2.5e-9) == 2e-9 and tolerances.key(3.5e-9) == 4e-9
+    assert tolerances.key(1e300) == math.inf and tolerances.key(-1e300) == -math.inf
 
 
 @given(term_lists())
@@ -355,7 +375,7 @@ def _general_merge(a, b):
 # exponents within EXP_TOL on either side of a key: the closer one is kept
 @example([_term(1.0, (0.5 + 4e-10, 1.0))], [_term(2.0, (0.5 - 6e-10, 1.0))], 7)
 @example([_term(1.0, (0.5 - 4e-10, 1.0))], [_term(2.0, (0.5 + 1e-10, 1.0))], 7)
-# keys in tolerances.keys' doubt region: a decimal tie at the ninth digit, |p| >= 2^20
+# keys of a decimal tie at the ninth digit and of |p| >= 2^20, on both merge paths
 @example([_term(1.0, (2.0 ** -10, 2.0 ** 20 + 0.25)), _term(1.0, (2.0 ** -10 + 1e-12, 1.0))],
          [_term(3.0, (2.0 ** -10, 2.0 ** 20 + 0.25)), _term(1.0, (2.0 ** -10 - 1e-12, 1.0))], 7)
 @example([_term(1.5, (1.0, 0.5))], [_term(-1.5, (1.0, 0.5))], 7)  # exact cancellation
@@ -692,6 +712,48 @@ def test_expr_pow_fractional_needs_single_term():
 
     with pytest.raises(UnsupportedError):
         parse_expr("x + y", XY).pow(0.5)
+
+
+def test_expr_pow_fractional_needs_a_positive_coefficient():
+    from fracforms import UnsupportedError
+
+    with pytest.raises(UnsupportedError, match="needs a positive coefficient"):
+        parse_expr("-2*x", X).pow(0.5)
+
+
+def test_expr_pow_negative_whole_power_of_a_monomial():
+    # any coefficient sign: (-2 x^0.5)^-2 = 0.25 x^-1
+    got = parse_expr("-2*x^0.5", X).pow(-2.0)
+    assert got == Expr.make([(0.25, (-1.0,))], 1)
+
+
+@pytest.mark.parametrize("names, origin, message", [
+    (("x", "x"), (0.0, 0.0), "coordinate names must be distinct"),
+    ((), (), "a context needs at least one coordinate"),
+    (("x", "y"), (0.0,), "one initial point per coordinate"),
+    (("x", "2y"), (0.0, 0.0), "bad coordinate name '2y'"),
+])
+def test_context_rejects_bad_coordinates(names, origin, message):
+    with pytest.raises(ValueError) as exc:
+        Context(names, origin)
+    assert str(exc.value) == message
+
+
+def test_context_of_reads_comma_separated_names():
+    ctx = Context.of(" x , y,, ", origin=(1, 2))
+    assert ctx.names == ("x", "y") and ctx.initial_points == (1.0, 2.0)
+    assert Context.of("x,y") == Context(("x", "y"), (0.0, 0.0))
+
+
+def test_eval_rejects_a_point_of_the_wrong_length():
+    with pytest.raises(ValueError, match="point length must match the context"):
+        eval_expr(parse_expr("x", XY), XY, (1.0,))
+
+
+@pytest.mark.parametrize("order", [0.5, -1])
+def test_classical_derivative_needs_a_whole_order(order):
+    with pytest.raises(ValueError, match="must be a whole number >= 0"):
+        classical_derivative(parse_expr("x^2", X), 0, order)
 
 
 def test_monomial_by_name():
