@@ -10,6 +10,7 @@ point, read as powers of x_i - a_i.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import ExponentDomainError, VerificationError
@@ -31,8 +32,8 @@ def kernel_basis_1d(nu: float, coord: int | str, ctx: Context) -> list[Expr]:
     """Basis {x^(nu-m+k) : k < m} of the order-nu derivative kernel in one
     coordinate, m the ceiling whole order."""
     nu = float(nu)
-    if nu <= 0:
-        raise ValueError(f"kernel order must be positive, got {nu}")
+    if not 0 < nu < math.inf:
+        raise ValueError(f"kernel order must be positive and finite, got {nu}")
     coord = ctx.index(coord)
     m = whole_ceil(nu)
     return [monomial(ctx, 1.0, {coord: nu - m + k}) for k in range(m)]
@@ -45,8 +46,8 @@ def kernel_basis_dv(nu: float, ctx: Context) -> list[Expr]:
     ranging over 0..m-1, so the basis has m^n elements.
     """
     nu = float(nu)
-    if nu <= 0:
-        raise ValueError(f"kernel order must be positive, got {nu}")
+    if not 0 < nu < math.inf:
+        raise ValueError(f"kernel order must be positive and finite, got {nu}")
     m = whole_ceil(nu)
     out = []
     for ks in itertools.product(range(m), repeat=ctx.n):

@@ -193,8 +193,8 @@ def alpha_k(k: int | str, nu: float, ctx: Context) -> Expr:
     when n = 1 or nu is whole).
     """
     nu = float(nu)
-    if nu <= 0:
-        raise ValueError(f"order must be positive, got {nu}")
+    if not 0 < nu < math.inf:
+        raise ValueError(f"alpha_k order must be positive and finite, got {nu}")
     return monomial(ctx, rgamma(nu + 1.0), dict(_kernel_powers(ctx.index(k), nu, ctx.n)))
 
 

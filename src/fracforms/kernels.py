@@ -3,6 +3,8 @@
 :func:`gl_weights` gives the weights ``(-1)^k binom(q, k)`` and
 :func:`gl_weighted_sum` the dot product ``sum_k w_k f_k``, compensated so that
 it is as accurate as ``math.fsum`` of the products ``w_k * f_k``.
+:func:`gl_level_sums` gives that sum for every level of a Richardson call,
+the strided slices of one sample array, in one pass over the weights.
 
 Plain pairwise summation (``np.sum``, ``np.dot``) is not accurate enough
 here.  The GL sum cancels heavily: near a pole of ``1/gamma(p - q + 1)`` the
@@ -14,41 +16,54 @@ with Knuth's error-free TwoSum, sums each level's exact rounding errors with
 with ``math.fsum``; this is the doubled-precision pairwise sum of Ogita, Rump
 and Oishi ("Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005).
 
-Both functions work in blocks of :data:`BLOCK` values:
+Everything works in blocks of :data:`BLOCK` values, with one
+implementation of each step:
 
-* :func:`gl_weights` writes the ratios ``(k - 1 - q) / k`` of one block in
-  place and runs ``cumprod`` over them with the last weight of the block
-  before as the first factor.  That is the same chain of roundings as one
-  ``cumprod`` over all the ratios, so the weights are bit-identical at every
-  count (exact zeros of whole q, and their signs, carry across blocks).
-* :func:`gl_weighted_sum` multiplies and folds one block of products at a
-  time in three block-sized buffers, and passes every block's remaining
-  values and per-level error sums to one ``math.fsum``.  Each block is a
-  sum of its own, so the error bound is the unblocked one with n replaced
-  by the block length ``b = min(n, BLOCK)``.  For n <= BLOCK the loop runs
-  once and is the unblocked kernel, bit for bit.  Blocks are counted in the
-  index of the summed array, so a strided Richardson level is summed exactly
-  as the same level sampled on its own grid: ``richardson`` equals
+* :func:`_weight_blocks` is the weight recurrence.  It writes the ratios
+  ``(k - 1 - q) / k`` of one block into a reused buffer after the last
+  weight of the block before and runs ``cumprod`` over them.  That is the
+  same chain of roundings as one ``cumprod`` over all the ratios, so the
+  weights are bit-identical at every count (exact zeros of whole q, and
+  their signs, carry across blocks).  :func:`gl_weights` copies the blocks
+  out.
+* :func:`_fold` is the fold.  It folds one block of products in buffers
+  allocated once per call and keeps the block's remaining values and the
+  error sum of each halving for one ``math.fsum`` per sum.  Each block is a sum
+  of its own, so the error bound is the unblocked one with n replaced by
+  the block length ``b = min(n, BLOCK)``.  For n <= BLOCK the fold runs
+  once and is the unblocked kernel, bit for bit.
+* :func:`gl_weighted_sum` multiplies given weights and samples a block at a
+  time.  :func:`gl_level_sums` computes each weight block once and uses it
+  at once for every level that reaches it: the level of stride s multiplies
+  block j by ``vals[j B s : (j + 1) B s : s]``.  Blocks are counted in the
+  index of the summed level, so a strided Richardson level is summed
+  exactly as the same level sampled on its own grid: ``richardson`` equals
   per-level ``gl_deriv`` bit for bit.
 
-Blocks are there for memory, not arithmetic.  Full-length temporaries were
-page-faulted in afresh on most calls and fell out of the 2 MiB L2 cache
+Blocks are there for memory, not arithmetic.  Full-length temporaries are
+page-faulted in afresh on most calls and fall out of the 2 MiB L2 cache
 during the fold; first touching a fresh 32 MB array takes 9-35 ms on the
-machine below, against 4.5 ms to write it again.  Measured on a 2-vCPU Xeon
-with numpy 2.4, for ``richardson`` at levels 5 over calls of mixed sizes,
-before and after blocking: 280 000 nodes took 1 367 minor faults and 18 ms,
-then none and 12-13 ms; 480 000 nodes took 3 601 faults and 34-36 ms, then
-1 148 (the samples and weights) and 20-26 ms.  At 4 000 and 70 000 nodes
-the two are within run-to-run noise; a one-block call pays about 2 us a sum
-for the loop and a copy of its samples.  One 3.2 M-node call peaks at 53 MB
-in ``tracemalloc`` instead of 106 MB.  Among 2^14 ... 2^17, the
-``gl_oracle`` benchmark ran fastest at 2^15 and 2^16; 2^15 is kept for its
-smaller buffers.
+machine below, against 4.5 ms to write it again.  With the weights made a
+block at a time and every level summed from each weight block, the samples
+are the one full-length array of a Richardson call.  Measured on a 2-vCPU
+Xeon with numpy 2.4.6, for ``richardson`` of ``1.3*x^2.2 - 0.7*x^0.4`` at
+levels 5 over calls of mixed sizes, with full-length weights and one pass
+per level, then with this kernel: 70 000 nodes took 21 minor faults and
+2.4-2.7 ms, then 8 and 2.0-2.3 ms; 280 000 nodes 77 faults and 8.5-9.9 ms,
+then 41 and 8.2-8.8 ms; 480 000 nodes 80 faults and 13-17 ms, then 39 and
+14-15 ms; 3.2 M nodes 2 060 faults and 115-141 ms, then 433 and 101-117 ms.
+At 4 000 nodes the two are within run-to-run noise.  The first 3.2 M-node
+call of a fresh process took 30 700 faults, then 11 100.  Its
+``tracemalloc`` peak is 28.5 MiB (8 bytes a node and 4.1 MiB) instead of
+50.9 MiB, and ``frac oracle`` at that size peaks at 58.9 MB of RSS instead
+of 81.0 MB.  When blocks came in, the ``gl_oracle`` benchmark ran fastest
+at 2^15 and 2^16 among 2^14 ... 2^17; 2^15 is kept for its smaller buffers.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -60,29 +75,84 @@ FSUM_TAIL = 512
 BLOCK = 1 << 15
 
 
-def gl_weights(q: float, count: int) -> np.ndarray:
-    """First ``count`` weights (-1)^k binom(q, k) via the stable recurrence.
+def _weight_blocks(q: float, count: int):
+    """The weights w[lo:lo + BLOCK], block by block, for lo = 0, BLOCK, ...
 
-    The recurrence is a sequential ``cumprod``, run block by block with the
-    last weight of the previous block as the first factor, so the weights
-    for fewer nodes are bit for bit a prefix of these.
+    Every block is computed in the same buffer, so a block is valid only
+    until the next one is asked for.  The buffer holds the last weight of the
+    block before and then the block's ratios ``(k - 1 - q) / k``; one
+    ``multiply.accumulate`` over it gives the block (``np.cumprod`` is this
+    accumulate behind a slower wrapper).  w[0] = 1 enters as the ratio 1.0
+    after the carried 1.0, so every weight is the same chain of roundings as
+    one ``cumprod`` over all the ratios.
     """
-    w = np.empty(count, dtype=np.float64)
-    w[0] = 1.0
-    k = np.arange(1, min(count, BLOCK + 1), dtype=np.float64)
-    for lo in range(1, count, BLOCK):
-        if lo > 1:
+    b = min(count, BLOCK)
+    buf = np.empty(b + 1)
+    buf[0] = 1.0
+    k = np.arange(b, dtype=np.float64)
+    for lo in range(0, count, BLOCK):
+        m = min(BLOCK, count - lo)
+        if lo:
             np.add(k, BLOCK, k)
-        r = w[lo:lo + BLOCK]
-        kb = k[:r.shape[0]]
-        # the ratios (k - 1 - q) / k, in place, then w[lo-1] times their
-        # cumprod (np.cumprod is this accumulate behind a slower wrapper)
+        first = 0 if lo else 1  # k = 0 has no ratio
+        r, kb = buf[1 + first:m + 1], k[first:m]
+        # the ratios (k - 1 - q) / k, in place
         np.subtract(kb, 1.0, r)
         np.subtract(r, q, r)
         np.divide(r, kb, r)
-        r = w[lo - 1:lo + r.shape[0]]
+        if not lo:
+            buf[1] = 1.0
+        r = buf[:m + 1]
         np.multiply.accumulate(r, out=r)
+        yield buf[1:m + 1]
+        buf[0] = buf[m]
+
+
+def gl_weights(q: float, count: int) -> np.ndarray:
+    """First ``count`` weights (-1)^k binom(q, k) via the stable recurrence.
+
+    The recurrence is one sequential ``cumprod`` (see :func:`_weight_blocks`),
+    so the weights for fewer nodes are bit for bit a prefix of these.
+    """
+    w = np.empty(count, dtype=np.float64)
+    for lo, blk in zip(range(0, count, BLOCK), _weight_blocks(q, count)):
+        w[lo:lo + blk.shape[0]] = blk
     return w
+
+
+def _fold(a: np.ndarray, m: int, half: np.ndarray, bb_buf: np.ndarray,
+          tails: list, err_sums: list) -> None:
+    """Fold the products ``a[:m]`` in halves with TwoSum, destroying them.
+
+    ``half`` and ``bb_buf`` are scratch of at least ``(m + 1) // 2`` and
+    ``m // 2`` values.  The values left at the end go to ``tails`` and the
+    sum of each halving's exact rounding errors to ``err_sums``;
+    ``math.fsum`` of the two is the sum of the products to the bound of
+    :func:`gl_weighted_sum`.
+    """
+    s_buf = half
+    while m > FSUM_TAIL:
+        h = m // 2
+        x, y, s, bb = a[:h], a[h:2 * h], s_buf[:h], bb_buf[:h]
+        # TwoSum, in place: s = fl(x + y) and x ends as the exact x + y - s
+        # (outputs passed positionally: a keyword costs 0.3 us a call)
+        np.add(x, y, s)
+        np.subtract(s, x, bb)
+        np.subtract(y, bb, y)
+        np.subtract(s, bb, bb)
+        np.subtract(x, bb, x)
+        np.add(x, y, x)
+        err_sums.append(np.add.reduce(x))  # x.sum(), without its wrapper
+        if m & 1:
+            s_buf[h] = a[m - 1]
+            h += 1
+        a, s_buf, m = s_buf, a, h
+    tails += a[:m].tolist()
+
+
+def _buffers(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The products, and the fold's two scratch buffers, for blocks of b."""
+    return np.empty(b), np.empty((b + 1) // 2), np.empty(b // 2)
 
 
 def gl_weighted_sum(fvals: np.ndarray, weights: np.ndarray) -> float:
@@ -96,34 +166,60 @@ def gl_weighted_sum(fvals: np.ndarray, weights: np.ndarray) -> float:
     """
     fvals = np.asarray(fvals, dtype=np.float64)
     n = fvals.shape[0]
-    b = min(n, BLOCK)
-    prods, half, bb_buf = np.empty(b), np.empty((b + 1) // 2), np.empty(b // 2)
+    prods, half, bb_buf = _buffers(min(n, BLOCK))
     tails, err_sums = [], []
     for lo in range(0, n, BLOCK):
         m = min(BLOCK, n - lo)
-        a = np.multiply(weights[lo:lo + m], fvals[lo:lo + m], prods[:m])
-        s_buf = half
-        while m > FSUM_TAIL:
-            h = m // 2
-            x, y, s, bb = a[:h], a[h:2 * h], s_buf[:h], bb_buf[:h]
-            # TwoSum, in place: s = fl(x + y) and x ends as the exact x + y - s
-            # (outputs passed positionally: a keyword costs 0.3 us a call)
-            np.add(x, y, s)
-            np.subtract(s, x, bb)
-            np.subtract(y, bb, y)
-            np.subtract(s, bb, bb)
-            np.subtract(x, bb, x)
-            np.add(x, y, x)
-            err_sums.append(np.add.reduce(x))  # x.sum(), without its wrapper
-            if m & 1:
-                s_buf[h] = a[m - 1]
-                h += 1
-            a, s_buf, m = s_buf, a, h
-        tails += a[:m].tolist()
+        _fold(np.multiply(weights[lo:lo + m], fvals[lo:lo + m], prods[:m]), m,
+              half, bb_buf, tails, err_sums)
     # tails first: math.fsum runs faster so, and for n <= BLOCK this is the
     # unblocked kernel's list
     tails += err_sums
     return math.fsum(tails)
+
+
+def gl_level_sums(q: float, vals: np.ndarray, strides: Sequence[int],
+                  head: int = 0) -> list[float]:
+    """The GL sum of every strided level of ``vals``, in one pass.
+
+    The level of stride s is ``vals[::s]`` (``vals`` is not empty), its
+    n_s = ceil(len(vals) / s) samples weighted by ``gl_weights(q, n_s)``, and its sum is
+    ``gl_weighted_sum`` of the two, bit for bit.  Each weight block is
+    computed once and used at once by every level that reaches it; each
+    level folds its own blocks as :func:`gl_weighted_sum` would, so only the
+    weight block and the fold's buffers are block-sized and nothing but
+    ``vals`` is as long as the grid.
+
+    With ``head`` > 0, the first ``head`` samples of every level are summed
+    as differences from ``f0 = vals[0]`` and ``f0`` times the ``math.fsum``
+    of their weights is added to the level's sum: the same GL sum, with the
+    rounding of large nearly cancelling products near the first sample gone.
+    """
+    n = vals.shape[0]
+    counts = [-(-n // s) for s in strides]
+    top = max(counts)
+    prods, half, bb_buf = _buffers(min(top, BLOCK))
+    parts = [([], []) for _ in strides]
+    f0, back = float(vals[0]), []
+    for lo, w in zip(range(0, top, BLOCK), _weight_blocks(q, top)):
+        if not lo and head:
+            near = f0 * math.fsum(w[:head].tolist())
+        for s, n_s, (tails, err_sums) in zip(strides, counts, parts):
+            if n_s <= lo:
+                continue
+            m = min(BLOCK, n_s - lo)
+            a = np.multiply(w[:m], vals[lo * s:(lo + m) * s:s], prods[:m])
+            if not lo and head:
+                j = min(head, m)
+                np.subtract(vals[:j * s:s], f0, a[:j])
+                np.multiply(w[:j], a[:j], a[:j])
+                back.append(near if j == head else f0 * math.fsum(w[:j].tolist()))
+            _fold(a, m, half, bb_buf, tails, err_sums)
+    sums = []
+    for tails, err_sums in parts:
+        tails += err_sums
+        sums.append(math.fsum(tails))
+    return [total + b for total, b in zip(sums, back)] if head else sums
 
 
 def backend() -> str:

@@ -20,37 +20,46 @@ A Richardson call samples f once, on its finest grid, and computes the GL
 weights once: the coarser grids are strided slices of those samples (their
 step is the fine step times a power of two, so the nodes are bit for bit the
 same) and their weights are a prefix of the fine weights.  The sums use the
-compensated kernel in :mod:`fracforms.kernels`.
+compensated kernel in :mod:`fracforms.kernels`, which sums every level in
+one pass over the weights (:func:`~fracforms.kernels.gl_level_sums`).
 
 The kernel sums the products w_k f(x - k h) as rounded, with no error
 beyond that rounding worth naming.  For q > 0 the weights nearly cancel, the sum is about h^q D^q f(x), and the
 first few products are far larger than that: at h = 1e-3 and q = 1.88 the
 rounding of w_0 x, w_1 (x - h), ... moved D^q t by 1e-9 in relative terms.
-So the first :data:`HEAD` samples of every level are summed as f - f(x):
-the difference is exact near x, where f(x - k h) is within a factor of two of
-f(x), and its products are small.  f(x) times the ``math.fsum`` of those
-rounded weights is added back, so a level is still the GL sum of its samples
-with the weights it uses, now with rounding on the order of the sum itself.
+So the first :data:`HEAD` samples of every level are summed as f - f(x),
+a step of the kernel's level pass (its ``head``): the difference is exact
+near x, where f(x - k h) is within a factor of two of f(x), and its
+products are small.  f(x) times the ``math.fsum`` of those rounded weights
+is added back, so a level is still the GL sum of its samples with the
+weights it uses, now with rounding on the order of the sum itself.
 For q <= 0 the weights do not cancel and the samples are summed as they are.
 
-The samples and the weights are the only arrays as long as the finest grid
-(16 bytes a node).  f is called on one block of :data:`~fracforms.kernels.BLOCK`
-nodes at a time, each node once, and the values are written into the one
-sample array; node arrays, f's temporaries and the kernel's buffers are all
-block-sized.  A non-finite sample stops the sampling at its block, and the
-error names the first such node.
+The samples are the only array as long as the finest grid (8 bytes a
+node).  f is called on one block of :data:`~fracforms.kernels.BLOCK` nodes
+at a time, each node once: the nodes x - h k are computed into the block of
+the sample array that f's values then overwrite.  The weights come a block
+at a time too, and each weight block is used at once by every level that
+reaches it, so the weights, f's temporaries and the kernel's buffers are
+all block-sized.  Only the sample at t = a may be non-finite.  A block
+whose sum is finite holds no non-finite sample; otherwise its samples are
+scanned, a non-finite one stops the sampling at its block, and the error
+names the first such node.  :func:`expr_evaluable` builds each term's
+values in place, in the order of the plain formula, so f itself allocates
+few block-sized temporaries.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NonConvergenceWarning, QuadratureDomainError
-from .kernels import BLOCK, gl_weighted_sum, gl_weights
+from .kernels import BLOCK, gl_level_sums
 from .symbolic import Context, Expr
 
 MIN_STEPS = 10
@@ -89,43 +98,51 @@ def _sample(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndar
 def _gl_levels(f, q: float, x: float, a: float, steps: int, levels: int) -> list[float]:
     """Plain GL sums with steps, 2*steps, ..., steps*2^(levels-1) intervals.
 
-    f is sampled once on the finest grid, a block of nodes at a time; level
-    lvl takes every 2^(levels-1-lvl)-th sample, so every level ends on the
-    node t = a and drops it alike when f is singular there.
+    f is sampled once on the finest grid; level lvl takes every
+    2^(levels-1-lvl)-th sample, so every level ends on the node t = a and
+    drops it alike when f is singular there.
     """
     fine = steps << (levels - 1)
     h = (x - a) / fine
+    vals = _samples(f, x, h, fine)
+    strides = [1 << (levels - 1 - lvl) for lvl in range(levels)]
+    # for q > 0 each level's first HEAD samples are summed as f - f(x)
+    sums = gl_level_sums(q, vals, strides, HEAD if q > 0 else 0)
+    return [total * (h * s) ** (-q) for total, s in zip(sums, strides)]
+
+
+def _samples(f, x: float, h: float, fine: int) -> np.ndarray:
+    """f at the nodes x - h k, k = 0 ... fine, a block of nodes at a time.
+
+    The last node, t = a, is left out when f is not finite there; a
+    non-finite sample anywhere else is an error that names the first one.
+
+    The block-sized node counter dies on return, before the kernel
+    allocates its buffers, so glibc reuses its memory for them.  Held
+    through the sums, it grew the heap past glibc's trim threshold, and the
+    heap was handed back and faulted in again on every call: about 60 minor
+    faults per polar Jacobian of ``charts_transform``, against none.
+    """
     vals = np.empty(fine + 1, dtype=np.float64)
-    end = fine + 1
-    for lo in range(0, end, BLOCK):
+    k = np.arange(min(fine + 1, BLOCK), dtype=np.float64)
+    for lo in range(0, fine + 1, BLOCK):
+        if lo:
+            np.add(k, BLOCK, k)
+        # the block's nodes x - h k, computed where its samples then go
         blk = vals[lo:lo + BLOCK]
-        blk[...] = _sample(f, x - h * np.arange(lo, lo + blk.shape[0], dtype=np.float64))
-        ok = np.isfinite(blk)
-        if not ok.all():
-            # only the initial-point node may be singular; start at a + h then
-            k = lo + int(np.argmin(ok))
-            if k < fine:
-                raise QuadratureDomainError(f"integrand undefined at sample node t={x - h * k}")
-            end = fine
-    weights = gl_weights(q, end)
-    if q > 0:
-        f0 = float(vals[0])
-        near_weights = math.fsum(weights[:HEAD].tolist())
-    sums = []
-    for lvl in range(levels):
-        stride = 1 << (levels - 1 - lvl)
-        level = vals[:end:stride]
-        if q > 0:
-            # the level's first HEAD samples are summed as f - f(x), then put
-            # back for the next level, so it is summed as on its own grid
-            near = level[:HEAD].copy()
-            level[:HEAD] -= f0
-            total = gl_weighted_sum(level, weights) + f0 * near_weights
-            level[:HEAD] = near
-        else:
-            total = gl_weighted_sum(level, weights)
-        sums.append(total * (h * stride) ** (-q))
-    return sums
+        np.multiply(h, k[:blk.shape[0]], blk)
+        np.subtract(x, blk, blk)
+        blk[...] = _sample(f, blk)
+        # every node but t = a must be finite: one reduction is finite only
+        # when every sample is, and the exact scan runs only when it is not
+        inner = vals[lo:min(lo + BLOCK, fine)]
+        if not math.isfinite(np.add.reduce(inner)):
+            ok = np.isfinite(inner)
+            if not ok.all():
+                j = lo + int(np.argmin(ok))
+                raise QuadratureDomainError(f"integrand undefined at sample node t={x - h * j}")
+    # f may be singular at the initial point only; the sums start at a + h then
+    return vals if math.isfinite(vals[fine]) else vals[:fine]
 
 
 def _check_grid(q: float, x: float, a: float, h: float) -> None:
@@ -243,22 +260,42 @@ def expr_evaluable(e: Expr, ctx: Context) -> Callable:
     shares no code with the symbolic path it checks, so it reads only the
     expression's coefficient and exponent arrays.
     """
-    a = np.asarray(ctx.initial_points, dtype=np.float64)
+    # None where a_i = +0.0: t - 0.0 is t, so the subtraction is skipped
+    # (t - (-0.0) is not: it turns t = -0.0 into +0.0)
+    a = [np.float64(ai) if ai or math.copysign(1.0, ai) < 0 else None
+         for ai in ctx.initial_points]
     terms = list(zip(e.coeffs.tolist(), e.exponents.tolist()))
 
     def f(pt):
-        bases = [np.asarray(pt[i], dtype=np.float64) - a[i] for i in range(len(a))]
+        bases = [np.asarray(pt[i], dtype=np.float64) for i in range(len(a))]
+        bases = [b if ai is None else b - ai for b, ai in zip(bases, a)]
         total = 0.0
         with np.errstate(all="ignore"):
             for c, exps in terms:
                 v = np.float64(c)
                 for base, p in zip(bases, exps):
                     if p != 0.0:
-                        v = v * np.power(base, p)
-                total = total + v
+                        v = _into(operator.mul, v, np.power(base, p))
+                total = _into(operator.add, total, v)
         return total
 
     return f
+
+
+# the ufunc of each operator _into takes, which can write into an operand
+_UFUNCS = {operator.mul: np.multiply, operator.add: np.add}
+
+
+def _into(op, x, y):
+    """``op(x, y)``, written over y, or else x, when that is an array of the
+    result's shape; both are temporaries of the evaluation calling this.
+    Two scalars take the operator itself, which is faster than a ufunc."""
+    if type(y) is np.ndarray:
+        if type(x) is not np.ndarray or x.shape == y.shape:
+            return _UFUNCS[op](x, y, y)
+    elif type(x) is np.ndarray:
+        return _UFUNCS[op](x, y, x)
+    return op(x, y)
 
 
 def expr_univariate(e: Expr, ctx: Context, coord: int | str, point: Sequence[float]) -> Callable:

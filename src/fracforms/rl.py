@@ -109,6 +109,8 @@ def compose_residual(e: Expr, coord: int | str, p: float, q: float, ctx: Context
     result is zero exactly when composition behaves.
     """
     coord = ctx.index(coord)
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise ValueError(f"composition residual orders must be finite, got p={p}, q={q}")
     if p < 0 or q < 0:
         raise ValueError("composition residual is defined for p >= 0 and q >= 0")
     k = max(1, whole_ceil(q))

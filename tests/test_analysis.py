@@ -1,5 +1,7 @@
 """Closedness, integrability, and potential reconstruction for 1-forms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -100,6 +102,18 @@ def test_kernel_needs_positive_order():
         kernel_basis_1d(0.0, "x", X1)
     with pytest.raises(ValueError):
         kernel_basis_dv(-0.5, XY)
+
+
+@pytest.mark.parametrize("nu", [math.inf, math.nan])
+def test_kernel_basis_dv_rejects_an_order_that_is_not_finite(nu):
+    with pytest.raises(ValueError, match=f"kernel order must be positive and finite, got {nu}"):
+        kernel_basis_dv(nu, XY)
+
+
+@pytest.mark.parametrize("nu", [math.inf, math.nan])
+def test_kernel_basis_1d_rejects_an_order_that_is_not_finite(nu):
+    with pytest.raises(ValueError, match=f"kernel order must be positive and finite, got {nu}"):
+        kernel_basis_1d(nu, "x", X1)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,12 @@ def test_alpha_k_own_derivative_carries_kernel_factors():
     assert exprs_close(got, monomial(XY, 1.0, {1: -0.5}), tol=1e-12)
 
 
+@pytest.mark.parametrize("nu", [math.inf, math.nan, 0.0])
+def test_alpha_k_rejects_an_order_that_is_not_positive_and_finite(nu):
+    with pytest.raises(ValueError, match=f"alpha_k order must be positive and finite, got {nu}"):
+        alpha_k(0, nu, XY)
+
+
 def test_alpha_k_whole_order_is_the_plain_power():
     a = alpha_k(0, 1.0, XY)
     assert exprs_close(a, parse_expr("x1", XY), tol=1e-12)

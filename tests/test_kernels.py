@@ -8,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracforms import gen_binomial
-from fracforms.kernels import BLOCK, FSUM_TAIL, backend, gl_weighted_sum, gl_weights
+from fracforms.kernels import (
+    BLOCK,
+    FSUM_TAIL,
+    backend,
+    gl_level_sums,
+    gl_weighted_sum,
+    gl_weights,
+)
 
 
 def test_weights_match_binomial_closed_form():
@@ -120,6 +127,39 @@ def test_sum_matches_fsum_across_blocks_property(q, n, p, seed):
     w = gl_weights(q, n + 3)
     want, bound = _fsum_bound(w, f)
     assert abs(gl_weighted_sum(f, w) - want) <= bound
+
+
+@given(
+    st.floats(min_value=-2.0, max_value=2.0, exclude_min=True, exclude_max=True),
+    _block_sizes,
+    st.permutations(range(1, 17)),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(0.4, 16 * BLOCK + 1, list(range(16, 0, -1)), 8, 0)
+@example(-1.3, 2 * BLOCK, list(range(1, 17)), 0, 1)
+@example(1.9, BLOCK + 1, list(range(1, 17)), 12, 2)
+@settings(max_examples=40, deadline=None)
+def test_one_pass_level_sums_equal_each_level_summed_alone(q, n, strides, head, seed):
+    # every stride's level is the kernel's sum of vals[::s] with its own
+    # weights, bit for bit; with a head, its first head samples are summed
+    # as differences from vals[0], and vals[0] times their weights' fsum is
+    # added back
+    rng = np.random.default_rng(seed)
+    t = 1.0 - np.arange(n) / n
+    vals = t**1.5 + rng.normal(size=n) * 10.0 ** rng.uniform(-20, 0, size=n)
+    before = vals.tobytes()
+    got = gl_level_sums(q, vals, strides, head)
+    assert vals.tobytes() == before
+    f0 = float(vals[0])
+    for s, total in zip(strides, got):
+        level = vals[::s].copy()
+        w = gl_weights(q, level.shape[0])
+        level[:head] -= f0
+        want = gl_weighted_sum(level, w)
+        if head:
+            want += f0 * math.fsum(w[:head].tolist())
+        assert total == want, s
 
 
 def _unblocked_sum(fvals, weights):

@@ -211,6 +211,12 @@ def test_compose_residual_rejects_negative_orders():
         compose_residual(parse_expr("x", X), "x", -0.1, 0.5, X)
 
 
+@pytest.mark.parametrize("p, q", [(0.5, math.inf), (math.inf, 0.5), (math.nan, 0.5), (0.5, math.nan)])
+def test_compose_residual_rejects_orders_that_are_not_finite(p, q):
+    with pytest.raises(ValueError, match=f"composition residual orders must be finite, got p={p}, q={q}"):
+        compose_residual(parse_expr("x^2", X), "x", p, q, X)
+
+
 @pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
 def test_orders_that_are_not_finite_are_rejected(q):
     # the power rule is where every differintegral order enters
