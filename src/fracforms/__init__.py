@@ -61,9 +61,7 @@ from .oracle import (
     expr_evaluable,
     expr_univariate,
     gl_deriv,
-    gl_partial,
     richardson,
-    richardson_partial,
 )
 from .rl import (
     SeriesResult,
@@ -130,7 +128,6 @@ __all__ = [
     "gen_binomial",
     "get_chart",
     "gl_deriv",
-    "gl_partial",
     "integrability_residual",
     "inverse_residual",
     "is_closed",
@@ -147,7 +144,6 @@ __all__ = [
     "product_rule_series",
     "rgamma",
     "richardson",
-    "richardson_partial",
     "rl_deriv",
     "rl_integ",
     "solve_exact",

@@ -69,12 +69,6 @@ class ClosureReport:
     nu: float
 
 
-def _components(alpha: Form, ctx: Context) -> list[Expr]:
-    if alpha.grade != 1:
-        raise ValueError(f"expected a grade-1 form, got grade {alpha.grade}")
-    return [alpha.component(i, ctx.n) for i in range(ctx.n)]
-
-
 def is_closed(alpha: Form, mu: float, ctx: Context) -> ClosureReport:
     """Test d^mu alpha = 0 for a grade-1 form of uniform order nu, mu > 0.
 
@@ -84,7 +78,7 @@ def is_closed(alpha: Form, mu: float, ctx: Context) -> ClosureReport:
     holds the single partial rl_deriv(alpha_i, j, mu) up to the word's sign.
     """
     mu = float(mu)
-    _components(alpha, ctx)  # grade 1 only
+    alpha.component(0, ctx.n)  # raises unless alpha is a grade-1 form
     if mu <= EXP_TOL:
         raise ValueError(f"closedness order must be positive, got {mu}")
     nu = alpha.total_order
@@ -110,9 +104,9 @@ def integrability_residual(alpha: Form, i: int, j: int, ctx: Context) -> Expr:
     m the ceiling whole order of nu; the division is exponent subtraction.
     Zero for every (i, j) pair is the grade-1 integrability condition.
     """
-    comps = _components(alpha, ctx)
     nu = alpha.total_order
-    inner = comps[j] - rl_deriv(rl_integ(comps[i], i, nu, ctx), j, nu, ctx)
+    inner = (alpha.component(j, ctx.n)
+             - rl_deriv(rl_integ(alpha.component(i, ctx.n), i, nu, ctx), j, nu, ctx))
     m = whole_ceil(nu)
     return classical_derivative(shift_exponent(inner, i, -(nu - m)), i, m)
 
@@ -163,11 +157,10 @@ def solve_exact(alpha: Form, nu: float, ctx: Context) -> ExactnessResult:
     order = alpha.total_order
     if abs(order - nu) > EXP_TOL:
         raise ValueError(f"form order {order} does not match requested order {nu}")
-    _components(alpha, ctx)  # grade 1 only
 
     gamma, f, failure = alpha, Expr.zero(ctx.n), None
     try:
-        for c in range(ctx.n):
+        for c in range(ctx.n):  # component raises unless alpha is a grade-1 form
             part = rl_integ(gamma.component(c, ctx.n), c, order, ctx)
             f = f + part
             gamma = gamma - frac_exterior_deriv(part, order, ctx)

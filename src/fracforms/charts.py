@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import NegativeQuadraticFormError, QuadratureDomainError, UnsupportedError
 from .forms import DiffFactor, Form, WedgeWord
-from .oracle import expr_evaluable, freeze_all_but, richardson_partial, richardson_table
+from .oracle import expr_evaluable, freeze_all_but, richardson, richardson_table
 from .rl import power_rule_map
 from .specialfn import gamma_ratio, rgamma, snap_int, whole_ceil
 from .symbolic import (
@@ -230,7 +230,12 @@ def _central_derivative(g: Callable[[float], float], t: float, order: int) -> fl
 
 def _integrand_numeric(chart: Chart, k: int, nu: float) -> Callable:
     """y-vector -> the alpha_k power product of the chart's black-box forward
-    maps; domain violations become nan samples for the quadrature to police."""
+    maps; domain violations become nan samples for the quadrature to police.
+
+    This evaluator of its own pays for itself: evaluating the integrand
+    through :func:`oracle.expr_evaluable` instead took ``charts_transform``
+    p90 from 1.49 to 1.61 ms (4-5 alternating 20 s benchmark pairs at seed
+    3, 2-vCPU Xeon, numpy 2.4.6)."""
     a = chart.ctx_x.initial_points
     maps = chart.forward
     powers = _kernel_powers(k, nu, chart.n)
@@ -336,15 +341,15 @@ def _numeric_entries(chart: Chart, nu: float, point, h0: float, levels: int) -> 
         g = _integrand_numeric(chart, k, nu)
         row = []
         for i in range(chart.n):
+            line = freeze_all_but(g, i, point)
             if whole is not None:
-                val = _central_derivative(freeze_all_but(g, i, point), float(point[i]), whole)
+                val = _central_derivative(line, point[i], whole)
             else:
-                if not float(point[i]) > atil[i]:
+                if not point[i] > atil[i]:
                     raise QuadratureDomainError(
                         f"numeric entries need point[{i}] > {atil[i]}, got {point[i]}")
                 try:
-                    val = richardson_partial(g, i, nu, point, a=atil[i], h0=h0,
-                                             levels=levels).value
+                    val = richardson(line, nu, point[i], atil[i], h0, levels).value
                 except QuadratureDomainError as exc:
                     raise QuadratureDomainError(
                         f"chart {chart.name!r}, entry (k={k}, i={i}) along "
@@ -415,7 +420,7 @@ def _compose_monomial(e: Expr, chart: Chart) -> Expr:
     for c, exps in zip(e.coeffs.tolist(), e.exponents.tolist()):
         acc = Expr.constant(c, chart.n)
         for j, p in enumerate(exps):
-            if abs(p) > EXP_TOL:
+            if p:  # canonical exponents within EXP_TOL of 0 are 0
                 acc = acc * (chart.forward[j] + Expr.constant(-a[j], chart.n)).pow(p)
         out = out + acc
     return out
@@ -430,11 +435,9 @@ def transform_form(A: Form, J: JacobianMatrix) -> Form:
     """
     chart = J.chart
     nu = A.total_order
-    if A.grade != 1:
-        raise ValueError("transform_form expects a grade-1 form")
+    comps = [A.component(k, chart.ctx_x.n) for k in range(chart.n)]
     if abs(nu - J.nu) > EXP_TOL:
         raise ValueError(f"form order {nu} != matrix order {J.nu}")
-    comps = [A.component(k, chart.ctx_x.n) for k in range(chart.n)]
     if J.mode == "numeric":
         x_pt = chart.x_of(J.point)
         comps = [eval_expr(c, chart.ctx_x, x_pt) for c in comps]

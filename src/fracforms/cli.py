@@ -52,7 +52,7 @@ from .symbolic import (
     print_expr,
     scan_terms,
 )
-from .tolerances import EXP_TOL, RESIDUAL_TOL
+from .tolerances import RESIDUAL_TOL
 
 DIGITS = 10
 
@@ -147,8 +147,6 @@ def cmd_integ(args) -> int:
 
 
 def cmd_dv(args) -> int:
-    if args.order < 0:
-        raise ValueError(f"exterior derivative order must be >= 0, got {args.order}")
     ctx = _context(args, args.input)
     form = parse_form(args.input, ctx)
     out = frac_exterior_deriv(form, args.order, ctx)
@@ -160,10 +158,7 @@ def cmd_dv(args) -> int:
 def cmd_closed(args) -> int:
     ctx = _context(args, args.input)
     form = parse_form(args.input, ctx)
-    nu = form.total_order
-    if args.order is not None and abs(args.order - nu) > EXP_TOL:
-        raise ValueError(f"--order {args.order} does not match the form's order {nu}")
-    mu = args.mu if args.mu is not None else nu
+    mu = args.mu if args.mu is not None else form.total_order
     report = is_closed(form, mu, ctx)
     lines = [f"closed: {'yes' if report.closed else 'no'}"]
     wit_json = []
@@ -450,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_dv)
 
     sp = sub.add_parser("closed", help="order-mu closedness test for a grade-1 form")
-    common(sp)
+    common(sp, order=False)
     sp.add_argument("--mu", type=float, help="test order, > 0 (defaults to the form's order)")
     sp.add_argument("input", help="form literal")
     sp.set_defaults(func=cmd_closed)

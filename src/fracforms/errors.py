@@ -36,7 +36,8 @@ class BoundarySingularityError(FracFormsError):
 
 
 class QuadratureDomainError(FracFormsError):
-    """The numeric oracle sampled the integrand where it is undefined."""
+    """The numeric oracle sampled the integrand where it is undefined, or a
+    GL sum or its scale step^-order does not fit in a double."""
 
 
 class UnsupportedError(FracFormsError):

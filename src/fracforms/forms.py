@@ -144,7 +144,7 @@ class Form:
     def component(self, coord: int, n: int) -> Expr:
         """Grade-1 coefficient attached to d(coord, total_order)."""
         if self.grade != 1:
-            raise ValueError("components are defined for grade-1 forms")
+            raise ValueError(f"expected a grade-1 form, got grade {self.grade}")
         return self.coefficient(WedgeWord((DiffFactor(coord, self.total_order),)), n)
 
     def _binary_check(self, other: "Form"):
@@ -228,10 +228,12 @@ def frac_exterior_deriv(a: Form | Expr, nu: float, ctx: Context) -> Form:
     if isinstance(a, Expr):
         a = Form.scalar(a)
 
+    prefixes = [(j, (DiffFactor(j, nu),)) for j in range(ctx.n)]  # each d(j, nu) once
+
     def derivatives():
         for word, coeff in a.terms.items():
-            for j in range(ctx.n):
-                sign, new_word = canonical_word((DiffFactor(j, nu),) + word.factors)
+            for j, prefix in prefixes:
+                sign, new_word = canonical_word(prefix + word.factors)
                 if new_word is not None:  # else d(j, nu) is already in the word
                     dc = rl_deriv(coeff, j, nu, ctx)
                     yield new_word, -dc if sign < 0 else dc

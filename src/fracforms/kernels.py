@@ -27,11 +27,12 @@ implementation of each step:
   their signs, carry across blocks).  :func:`gl_weights` copies the blocks
   out.
 * :func:`_fold` is the fold.  It folds one block of products in buffers
-  allocated once per call and keeps the block's remaining values and the
-  error sum of each halving for one ``math.fsum`` per sum.  Each block is a sum
-  of its own, so the error bound is the unblocked one with n replaced by
-  the block length ``b = min(n, BLOCK)``.  For n <= BLOCK the fold runs
-  once and is the unblocked kernel, bit for bit.
+  allocated once per call, copies the block's remaining values into its
+  slot of a call-long array, and keeps them and the error sum of each
+  halving for one ``math.fsum`` per sum (:func:`_total`).  Each block is
+  a sum of its own, so the error bound is the unblocked one with n
+  replaced by the block length ``b = min(n, BLOCK)``.  For n <= BLOCK the
+  fold runs once and is the unblocked kernel, bit for bit.
 * :func:`gl_weighted_sum` multiplies given weights and samples a block at a
   time.  :func:`gl_level_sums` computes each weight block once and uses it
   at once for every level that reaches it: the level of stride s multiplies
@@ -39,6 +40,19 @@ implementation of each step:
   index of the summed level, so a strided Richardson level is summed
   exactly as the same level sampled on its own grid: ``richardson`` equals
   per-level ``gl_deriv`` bit for bit.
+
+The fold sums the products ``w_k f_k`` as rounded, with no error beyond
+that rounding worth naming.  For q > 0 the weights nearly cancel, the sum
+is about ``h^q D^q f(x)``, and the first few products are far larger than
+that: at h = 1e-3 and q = 1.88 the rounding of ``w_0 f_0``, ``w_1 f_1``, ...
+moved D^q t by 1e-9 in relative terms.  So for q > 0 :func:`gl_level_sums`
+sums the first :data:`HEAD` samples of every level as ``f_k - f_0``: the
+difference is exact near the first sample, where f is within a factor of
+two of ``f_0``, and its products are small.  ``f_0`` times the
+``math.fsum`` of those rounded weights is added back, so a level is still
+the GL sum of its samples with the weights it uses, now with rounding on
+the order of the sum itself.  For q <= 0 the weights do not cancel and the
+samples are summed as they are.
 
 Blocks are there for memory, not arithmetic.  Full-length temporaries are
 page-faulted in afresh on most calls and fall out of the 2 MiB L2 cache
@@ -54,15 +68,19 @@ then 41 and 8.2-8.8 ms; 480 000 nodes 80 faults and 13-17 ms, then 39 and
 14-15 ms; 3.2 M nodes 2 060 faults and 115-141 ms, then 433 and 101-117 ms.
 At 4 000 nodes the two are within run-to-run noise.  The first 3.2 M-node
 call of a fresh process took 30 700 faults, then 11 100.  Its
-``tracemalloc`` peak is 28.5 MiB (8 bytes a node and 4.1 MiB) instead of
-50.9 MiB, and ``frac oracle`` at that size peaks at 58.9 MB of RSS instead
-of 81.0 MB.  When blocks came in, the ``gl_oracle`` benchmark ran fastest
+``tracemalloc`` peak is 26.2 MiB (8 bytes a node and 1.8 MiB) instead of
+50.9 MiB, and ``frac oracle`` at that size peaks at 56.0 MB of RSS instead
+of 81.0 MB.  Of that, keeping the fold's block tails as float64 arrays
+rather than Python floats saves 2.3 MiB of the peak and 2.7 MB of RSS; a
+level of one block still lists its tail once, as ``math.fsum`` reads a
+list fastest.  When blocks came in, the ``gl_oracle`` benchmark ran fastest
 at 2^15 and 2^16 among 2^14 ... 2^17; 2^15 is kept for its smaller buffers.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -73,6 +91,10 @@ FSUM_TAIL = 512
 
 # Values per block: 256 KiB of float64, chosen by measurement (see above).
 BLOCK = 1 << 15
+
+# Samples of every level that a sum of order q > 0 takes as differences from
+# the first one (see above).
+HEAD = 8
 
 
 def _weight_blocks(q: float, count: int):
@@ -121,13 +143,14 @@ def gl_weights(q: float, count: int) -> np.ndarray:
 
 
 def _fold(a: np.ndarray, m: int, half: np.ndarray, bb_buf: np.ndarray,
-          tails: list, err_sums: list) -> None:
+          slot: np.ndarray, tails: list, err_sums: list) -> None:
     """Fold the products ``a[:m]`` in halves with TwoSum, destroying them.
 
     ``half`` and ``bb_buf`` are scratch of at least ``(m + 1) // 2`` and
-    ``m // 2`` values.  The values left at the end go to ``tails`` and the
-    sum of each halving's exact rounding errors to ``err_sums``;
-    ``math.fsum`` of the two is the sum of the products to the bound of
+    ``m // 2`` values.  The values left at the end, at most ``FSUM_TAIL``,
+    are copied to the start of ``slot`` and that view goes to ``tails``;
+    the sum of each halving's exact rounding errors goes to ``err_sums``.
+    :func:`_total` of the two is the sum of the products to the bound of
     :func:`gl_weighted_sum`.
     """
     s_buf = half
@@ -147,12 +170,28 @@ def _fold(a: np.ndarray, m: int, half: np.ndarray, bb_buf: np.ndarray,
             s_buf[h] = a[m - 1]
             h += 1
         a, s_buf, m = s_buf, a, h
-    tails += a[:m].tolist()
+    slot[:m] = a[:m]
+    tails.append(slot[:m])
 
 
-def _buffers(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The products, and the fold's two scratch buffers, for blocks of b."""
-    return np.empty(b), np.empty((b + 1) // 2), np.empty(b // 2)
+def _total(tails: list, err_sums: list) -> float:
+    """``math.fsum`` of the blocks' remaining values, then of the error
+    sums: tails first, as ``math.fsum`` runs faster so.  The tails stay
+    float64 arrays (8 bytes a value, against 32 as Python floats) and are
+    listed one block at a time."""
+    if len(tails) == 1:  # one block: one list, which math.fsum reads fastest
+        return math.fsum(tails[0].tolist() + err_sums)
+    return math.fsum(chain(chain.from_iterable(t.tolist() for t in tails), err_sums))
+
+
+def _buffers(b: int, folds: int) -> tuple[np.ndarray, ...]:
+    """The products and the fold's two scratch buffers, for blocks of b, and
+    a ``FSUM_TAIL`` slot for each fold's remaining values.  Slots of one
+    call-long array, rather than a copy per fold, keep the kernel at a few
+    allocations a call: with a copy per fold, runs of the 20 s
+    ``gl_oracle`` benchmark peaked at up to 45.9 MB of RSS, with slots at
+    up to 43.4 MB."""
+    return np.empty(b), np.empty((b + 1) // 2), np.empty(b // 2), np.empty(folds * FSUM_TAIL)
 
 
 def gl_weighted_sum(fvals: np.ndarray, weights: np.ndarray) -> float:
@@ -166,20 +205,17 @@ def gl_weighted_sum(fvals: np.ndarray, weights: np.ndarray) -> float:
     """
     fvals = np.asarray(fvals, dtype=np.float64)
     n = fvals.shape[0]
-    prods, half, bb_buf = _buffers(min(n, BLOCK))
+    prods, half, bb_buf, store = _buffers(min(n, BLOCK), -(-n // BLOCK))
     tails, err_sums = [], []
     for lo in range(0, n, BLOCK):
         m = min(BLOCK, n - lo)
         _fold(np.multiply(weights[lo:lo + m], fvals[lo:lo + m], prods[:m]), m,
-              half, bb_buf, tails, err_sums)
-    # tails first: math.fsum runs faster so, and for n <= BLOCK this is the
-    # unblocked kernel's list
-    tails += err_sums
-    return math.fsum(tails)
+              half, bb_buf, store[lo // BLOCK * FSUM_TAIL:], tails, err_sums)
+    # for n <= BLOCK this is the unblocked kernel's fsum
+    return _total(tails, err_sums)
 
 
-def gl_level_sums(q: float, vals: np.ndarray, strides: Sequence[int],
-                  head: int = 0) -> list[float]:
+def gl_level_sums(q: float, vals: np.ndarray, strides: Sequence[int]) -> list[float]:
     """The GL sum of every strided level of ``vals``, in one pass.
 
     The level of stride s is ``vals[::s]`` (``vals`` is not empty), its
@@ -190,36 +226,32 @@ def gl_level_sums(q: float, vals: np.ndarray, strides: Sequence[int],
     weight block and the fold's buffers are block-sized and nothing but
     ``vals`` is as long as the grid.
 
-    With ``head`` > 0, the first ``head`` samples of every level are summed
-    as differences from ``f0 = vals[0]`` and ``f0`` times the ``math.fsum``
-    of their weights is added to the level's sum: the same GL sum, with the
+    For q > 0, the first :data:`HEAD` samples of every level are summed as
+    differences from ``f0 = vals[0]`` and ``f0`` times the ``math.fsum`` of
+    their weights is added to the level's sum: the same GL sum, with the
     rounding of large nearly cancelling products near the first sample gone.
     """
     n = vals.shape[0]
     counts = [-(-n // s) for s in strides]
     top = max(counts)
-    prods, half, bb_buf = _buffers(min(top, BLOCK))
+    prods, half, bb_buf, store = _buffers(min(top, BLOCK), sum(-(-c // BLOCK) for c in counts))
+    slots = iter(range(0, store.shape[0], FSUM_TAIL))
     parts = [([], []) for _ in strides]
     f0, back = float(vals[0]), []
     for lo, w in zip(range(0, top, BLOCK), _weight_blocks(q, top)):
-        if not lo and head:
-            near = f0 * math.fsum(w[:head].tolist())
         for s, n_s, (tails, err_sums) in zip(strides, counts, parts):
             if n_s <= lo:
                 continue
             m = min(BLOCK, n_s - lo)
             a = np.multiply(w[:m], vals[lo * s:(lo + m) * s:s], prods[:m])
-            if not lo and head:
-                j = min(head, m)
+            if not lo and q > 0:
+                j = min(HEAD, m)
                 np.subtract(vals[:j * s:s], f0, a[:j])
                 np.multiply(w[:j], a[:j], a[:j])
-                back.append(near if j == head else f0 * math.fsum(w[:j].tolist()))
-            _fold(a, m, half, bb_buf, tails, err_sums)
-    sums = []
-    for tails, err_sums in parts:
-        tails += err_sums
-        sums.append(math.fsum(tails))
-    return [total + b for total, b in zip(sums, back)] if head else sums
+                back.append(f0 * math.fsum(w[:j].tolist()))
+            _fold(a, m, half, bb_buf, store[next(slots):], tails, err_sums)
+    sums = [_total(tails, err_sums) for tails, err_sums in parts]
+    return [total + b for total, b in zip(sums, back)] if q > 0 else sums
 
 
 def backend() -> str:

@@ -23,17 +23,12 @@ same) and their weights are a prefix of the fine weights.  The sums use the
 compensated kernel in :mod:`fracforms.kernels`, which sums every level in
 one pass over the weights (:func:`~fracforms.kernels.gl_level_sums`).
 
-The kernel sums the products w_k f(x - k h) as rounded, with no error
-beyond that rounding worth naming.  For q > 0 the weights nearly cancel, the sum is about h^q D^q f(x), and the
-first few products are far larger than that: at h = 1e-3 and q = 1.88 the
-rounding of w_0 x, w_1 (x - h), ... moved D^q t by 1e-9 in relative terms.
-So the first :data:`HEAD` samples of every level are summed as f - f(x),
-a step of the kernel's level pass (its ``head``): the difference is exact
-near x, where f(x - k h) is within a factor of two of f(x), and its
-products are small.  f(x) times the ``math.fsum`` of those rounded weights
-is added back, so a level is still the GL sum of its samples with the
-weights it uses, now with rounding on the order of the sum itself.
-For q <= 0 the weights do not cancel and the samples are summed as they are.
+For q > 0 the kernel sums the first :data:`~fracforms.kernels.HEAD`
+samples of every level as f - f(x), so the rounding of the large, nearly
+cancelling products near x stays below the sum itself (see
+:mod:`fracforms.kernels`).  A sum or a scale h^(-q) beyond the largest
+double is a :class:`~fracforms.errors.QuadratureDomainError` that names the
+order and the finest step.
 
 The samples are the only array as long as the finest grid (8 bytes a
 node).  f is called on one block of :data:`~fracforms.kernels.BLOCK` nodes
@@ -63,10 +58,6 @@ from .kernels import BLOCK, gl_level_sums
 from .symbolic import Context, Expr
 
 MIN_STEPS = 10
-
-# Samples nearest x that a GL sum of order q > 0 takes as f - f(x); every
-# level has at least MIN_STEPS samples, so at least HEAD.
-HEAD = 8
 
 
 def _sample(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
@@ -106,9 +97,12 @@ def _gl_levels(f, q: float, x: float, a: float, steps: int, levels: int) -> list
     h = (x - a) / fine
     vals = _samples(f, x, h, fine)
     strides = [1 << (levels - 1 - lvl) for lvl in range(levels)]
-    # for q > 0 each level's first HEAD samples are summed as f - f(x)
-    sums = gl_level_sums(q, vals, strides, HEAD if q > 0 else 0)
-    return [total * (h * s) ** (-q) for total, s in zip(sums, strides)]
+    try:
+        sums = gl_level_sums(q, vals, strides)
+        return [total * (h * s) ** (-q) for total, s in zip(sums, strides)]
+    except OverflowError:  # a partial sum, or the scale step^-order
+        raise QuadratureDomainError(
+            f"GL differintegral of order {q} at step {h} overflows a double") from None
 
 
 def _samples(f, x: float, h: float, fine: int) -> np.ndarray:
@@ -238,18 +232,6 @@ def freeze_all_but(f: Callable, coord: int, point: Sequence[float]) -> Callable:
     return g
 
 
-def gl_partial(f: Callable, coord: int, q: float, point: Sequence[float],
-               a: float = 0.0, h: float = 1e-4) -> float:
-    """GL partial of a multivariate evaluable along one coordinate line."""
-    return gl_deriv(freeze_all_but(f, coord, point), q, float(point[coord]), a, h)
-
-
-def richardson_partial(f: Callable, coord: int, q: float, point: Sequence[float],
-                       a: float = 0.0, h0: float = 1e-4, levels: int = 3) -> RichardsonResult:
-    """Richardson-extrapolated GL partial along one coordinate line."""
-    return richardson(freeze_all_but(f, coord, point), q, float(point[coord]), a, h0, levels)
-
-
 def expr_evaluable(e: Expr, ctx: Context) -> Callable:
     """Vectorized numpy evaluation of an expression.
 
@@ -277,6 +259,9 @@ def expr_evaluable(e: Expr, ctx: Context) -> Callable:
                     if p != 0.0:
                         v = _into(operator.mul, v, np.power(base, p))
                 total = _into(operator.add, total, v)
+        if type(total) is not np.ndarray:  # constant along every array coordinate
+            shape = np.broadcast(*bases).shape
+            total = np.full(shape, total) if shape else total
         return total
 
     return f

@@ -142,8 +142,12 @@ def product_rule_series(f: Expr, g: Expr, coord: int | str, q: float, ctx: Conte
     (the classical derivatives eventually vanish); otherwise a truncation
     bound ``K`` is required.  ``truncated`` is set when the cut dropped a
     next term whose magnitude at the probe point (a_i + 1) exceeds 1e-9.
+    A q within ``EXP_TOL`` of a whole k is taken as k once, on entry, so
+    every term's order q - j is whole too.
     """
     coord = ctx.index(coord)
+    whole = snap_int(q)
+    q = q if whole is None else float(whole)
     if is_polynomial_in(g, coord):
         deg = int(round(degree_in(g, coord)))
         upto = deg if K is None else min(K, deg)

@@ -45,7 +45,8 @@ coefficients in input order (first + second + ...), and each merged exponent
 is, per coordinate, the last one in input order among those closest to the
 key.  The result does not depend on how the merge is carried out: the
 vectorized merge used for larger expressions and the loop used for small ones
-give the same doubles.  A sum with more than ``_SMALL_MERGE`` terms between
+give the same doubles.  A single term is only snapped and dropped
+(:func:`_merge_one`).  A sum with more than ``_SMALL_MERGE`` terms between
 its two sides merges their two sorted runs (:func:`_merge_runs`), where a key
 holds at most two terms, one from each side, and gets the same doubles again.
 
@@ -54,6 +55,17 @@ power rule and the classical derivative do, runs no merge when the shift
 keeps every key comparison in that column, snaps no exponent and drops no
 coefficient (:func:`shift_column`): the shifted arrays are then already what
 the merge would return.
+
+Each of these fast paths pays for itself.  Taking one out and timing 4-5
+alternating 20 s pairs of the benchmark under ``perfbench/`` at seed 3 (a
+2-vCPU Xeon, numpy 2.4.6), against the code with it:
+
+* merging every shift (no no-merge path in :func:`shift_column`):
+  ``forms_symbolic`` 211.5 -> 192.4 ops/s, p90 7.00 -> 8.23 ms;
+* merging a sum's two runs as any other rows (no :func:`_merge_runs`):
+  ``forms_symbolic`` 208.8 -> 193.6 ops/s, p90 7.17 -> 8.09 ms;
+* merging one term in the dict loop (no :func:`_merge_one`):
+  ``charts_transform`` 1352 -> 1257 ops/s, p50 0.62 -> 0.68 ms.
 """
 
 from __future__ import annotations
@@ -716,14 +728,14 @@ def restrict_at_initial(e: Expr, coord: int, ctx: Context) -> Expr:
     exponent is a non-removable singularity.
     """
     p = e.exponents[:, coord]
-    zero = np.abs(p) <= EXP_TOL
+    zero = p == 0.0  # canonical exponents within EXP_TOL of 0 are 0
     singular = ~zero & ~(p > 0)
     if singular.any():
         raise BoundarySingularityError(
             f"exponent {float(p[np.argmax(singular)])} on {ctx.names[coord]} is singular "
             "at the initial point"
         )
-    return e.take(zero)  # canonical exponents within EXP_TOL of 0 are 0
+    return e.take(zero)
 
 
 def shift_exponent(e: Expr, coord: int, delta: float) -> Expr:

@@ -31,9 +31,9 @@ from fracforms import (
     rl_deriv,
     solve_exact,
 )
-from fracforms.analysis import ClosureReport, ExactnessResult, _components
+from fracforms.analysis import ClosureReport, ExactnessResult
 from fracforms.errors import VerificationError
-from fracforms.oracle import expr_evaluable, richardson_partial
+from fracforms.oracle import expr_univariate, richardson
 from fracforms.rl import rl_integ
 from fracforms.specialfn import whole_ceil
 from fracforms.symbolic import canonicalize, max_abs_coeff, shift_exponent
@@ -43,6 +43,10 @@ X1 = Context.of(("x",))
 XY = Context.of(("x1", "x2"))
 XYZ = Context.of(("x1", "x2", "x3"))
 X1234 = Context.of(("x1", "x2", "x3", "x4"))
+
+
+def _components(alpha, ctx):
+    return [alpha.component(i, ctx.n) for i in range(ctx.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +687,7 @@ def test_shifted_potential_matches_the_oracle_from_each_initial_point(a):
     pt = (a[0] + 1.3, a[1] + 1.6)
     for c in range(ctx.n):
         v = eval_expr(dv.component(c, ctx.n), ctx, pt)
-        r = richardson_partial(expr_evaluable(result.f, ctx), c, nu, pt, a=a[c],
-                               h0=1e-4, levels=4)
+        r = richardson(expr_univariate(result.f, ctx, c, pt), nu, pt[c], a[c], h0=1e-4, levels=4)
         assert r.converged
         assert abs(r.value - v) <= 10 * r.error_estimate + 1e-13 * (1 + abs(v))
 

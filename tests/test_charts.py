@@ -409,7 +409,7 @@ def test_fractional_power_of_a_multi_term_map_is_unsupported():
 
 def test_transform_rejects_other_grades_and_orders():
     J = jacobian(get_chart("scale:2,3"), 0.5)
-    with pytest.raises(ValueError, match="grade-1"):
+    with pytest.raises(ValueError, match="expected a grade-1 form, got grade 2"):
         transform_form(parse_form("x1 d(x1,0.5) & d(x2,0.5)", J.chart.ctx_x), J)
     with pytest.raises(ValueError, match="form order 0.7 != matrix order 0.5"):
         transform_form(parse_form("x1 d(x1,0.7)", J.chart.ctx_x), J)

@@ -65,6 +65,18 @@ def test_deriv_domain_error_exits_3(capsys):
      "GL step must be positive and finite, got -0.1"),
     (["jacobian", "--chart", "polar", "--order", "0.5", "--point", "2,0.7", "--h", "0"],
      "GL step must be positive and finite, got 0.0"),
+    (["dv", "x^2", "--order", "-0.5"],
+     "exterior derivative order must be >= 0 and finite, got -0.5"),
+    # the GL scale step^-order overflows a double at order 171.5
+    (["oracle", "x^-0.5", "--var", "x", "--order", "171.5", "--point", "2", "--levels", "5"],
+     "GL differintegral of order 171.5 at step 6.25e-06 overflows a double"),
+    (["jacobian", "--chart", "polar", "--order", "171.5", "--point", "0.5,0.5"],
+     "chart 'polar', entry (k=0, i=0) along r at order 171.5: "
+     "GL differintegral of order 171.5 at step 0.00025 overflows a double"),
+    (["lineelement", "--chart", "scale:2,3", "--order", "171.5", "--point", "0.5,0.5",
+      "--numeric", "--dy", "0.1,0.2"],
+     "chart 'scale:2,3', entry (k=0, i=0) along y1 at order 171.5: "
+     "GL differintegral of order 171.5 at step 0.00025 overflows a double"),
 ])
 def test_orders_and_steps_outside_the_domain_exit_3(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -180,6 +192,14 @@ def test_closed_needs_a_one_form(capsys):
     assert code == 3
     assert out == ""
     assert "grade 0" in err
+
+
+def test_closed_takes_no_order(capsys):
+    # the form carries its order; --mu picks the test order
+    with pytest.raises(SystemExit) as exc:
+        main(["closed", "x2 d(x1,1)", "--order", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order 1" in capsys.readouterr().err
 
 
 def test_closed_needs_a_positive_order(capsys):

@@ -170,7 +170,7 @@ def test_forms_of_different_orders_do_not_add():
 
 
 def test_components_need_a_grade_1_form():
-    with pytest.raises(ValueError, match="grade-1"):
+    with pytest.raises(ValueError, match="expected a grade-1 form, got grade 2"):
         parse_form("x1 d(x1,0.5) & d(x2,0.5)", XY).component(0, 2)
 
 

@@ -22,14 +22,12 @@ from fracforms import (
     expr_evaluable,
     expr_univariate,
     gl_deriv,
-    gl_partial,
     monomial,
     parse_expr,
     richardson,
-    richardson_partial,
 )
 from fracforms.kernels import BLOCK, gl_weights
-from fracforms.oracle import MIN_STEPS
+from fracforms.oracle import MIN_STEPS, freeze_all_but
 
 SQRT_PI = 1.7724538509055160
 
@@ -138,6 +136,20 @@ def test_both_sums_reject_an_order_that_is_not_finite(q):
     for gl in (lambda: gl_deriv(lambda t: t, q, 2.0), lambda: richardson(lambda t: t, q, 2.0)):
         with pytest.raises(ValueError, match=f"GL order must be finite, got {q}"):
             gl()
+
+
+@pytest.mark.parametrize("f, q", [
+    (lambda t: t, 171.5),  # the scale h^-q
+    (lambda t: 1e307 * t * t, -0.5),  # a partial sum, in math.fsum
+])
+def test_both_sums_name_an_overflow(f, q):
+    # a typed error naming the operation, the order and the finest step,
+    # not a bare OverflowError
+    for gl, h in ((lambda: gl_deriv(f, q, 2.0, 0.0, 1e-3), 0.001),
+                  (lambda: richardson(f, q, 2.0, 0.0, 1e-3, levels=2), 0.0005)):
+        with pytest.raises(QuadratureDomainError) as info:
+            gl()
+        assert str(info.value) == f"GL differintegral of order {q} at step {h} overflows a double"
 
 
 def test_richardson_takes_at_least_min_steps():
@@ -345,20 +357,21 @@ def test_richardson_peak_memory_is_bounded_on_a_fine_grid():
 
 def test_gl_partial_whole_order():
     f = lambda v: v[0] * v[1]
-    assert gl_partial(f, 1, 1.0, (2.0, 3.0), 0.0, h=1e-4) == pytest.approx(2.0, rel=1e-9)
+    got = gl_deriv(freeze_all_but(f, 1, (2.0, 3.0)), 1.0, 3.0, 0.0, h=1e-4)
+    assert got == pytest.approx(2.0, rel=1e-9)
 
 
 def test_gl_partial_fractional():
     f = lambda v: v[0] ** 2 * v[1]
     # D_y^0.5 (x^2 y) at (2, 1) = 4 * 2/sqrt(pi)
-    got = gl_partial(f, 1, 0.5, (2.0, 1.0), 0.0, h=1e-4)
+    got = gl_deriv(freeze_all_but(f, 1, (2.0, 1.0)), 0.5, 1.0, 0.0, h=1e-4)
     assert got == pytest.approx(4.0 * 2.0 / SQRT_PI, rel=1e-3)
 
 
 def test_richardson_partial_matches_scalar_form():
     f = lambda v: v[0] ** 1.5
     direct = richardson(lambda t: np.asarray(t) ** 1.5, 0.5, 2.0, 0.0, h0=1e-3)
-    lifted = richardson_partial(f, 0, 0.5, (2.0,), 0.0, h0=1e-3)
+    lifted = richardson(freeze_all_but(f, 0, (2.0,)), 0.5, 2.0, 0.0, h0=1e-3)
     assert lifted.value == direct.value
 
 
@@ -378,10 +391,30 @@ def test_expr_univariate_singular_samples_are_nan():
     assert vals[1] == pytest.approx(1.0)
 
 
+def test_constant_exprs_evaluate_on_the_whole_node_array():
+    # an Expr that no array coordinate enters gives an array of the nodes'
+    # shape, with the values the node-by-node path gave
+    ctx = Context.of(("x", "y"))
+    nodes = np.linspace(0.0, 2.0, 7)
+    for text in ("3", "3*y^2"):
+        line = expr_univariate(parse_expr(text, ctx), ctx, "x", (2.0, 1.5))
+        vals = line(nodes)
+        assert type(vals) is np.ndarray and vals.shape == nodes.shape
+        assert vals.tobytes() == np.array([float(line(float(t))) for t in nodes]).tobytes()
+    ctx = Context.of(("x",))
+    got = richardson(expr_univariate(parse_expr("3", ctx), ctx, "x", (2.0,)), 0.5, 2.0, 0.0,
+                     h0=1e-3, levels=3)
+    # a callable that returns a scalar is sampled node by node
+    want = richardson(lambda t: 3.0, 0.5, 2.0, 0.0, h0=1e-3, levels=3)
+    assert (got.value.hex(), got.error_estimate.hex(), got.converged) == \
+        (want.value.hex(), want.error_estimate.hex(), want.converged)
+
+
 def _evaluable_reference(e, ctx, pt):
     """The plain formula expr_evaluable computes: for each term in order,
     c times the product of (x_i - a_i)^p over p != 0, added to a sum that
-    starts at 0.0."""
+    starts at 0.0.  A sum that no array coordinate enters is broadcast to
+    the coordinates' shape."""
     a = np.asarray(ctx.initial_points, dtype=np.float64)
     bases = [np.asarray(pt[i], dtype=np.float64) - a[i] for i in range(ctx.n)]
     total = 0.0
@@ -392,7 +425,8 @@ def _evaluable_reference(e, ctx, pt):
                 if p != 0.0:
                     v = v * np.power(base, p)
             total = total + v
-    return total
+    shape = np.broadcast_shapes(*(b.shape for b in bases))
+    return np.full(shape, total) if shape and np.ndim(total) == 0 else total
 
 
 _origins = st.sampled_from([0.0, -0.0, 0.5, -1.25])

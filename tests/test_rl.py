@@ -256,6 +256,16 @@ def test_product_series_matches_direct_derivative():
     assert exprs_close(got.expr, want, tol=1e-10)
 
 
+@pytest.mark.parametrize("q", [2 - 3e-10, 1 + 1e-10])
+def test_product_series_takes_a_near_whole_order_as_whole(q):
+    # within EXP_TOL of a whole order the series is rl_deriv of the product,
+    # bit for bit, as rl_deriv takes that order as whole too
+    got = product_rule_series(parse_expr("x^2", X), parse_expr("x^3", X), "x", q, X).expr
+    want = rl_deriv(parse_expr("x^5", X), "x", q, X)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert got.exponents.tobytes() == want.exponents.tobytes()
+
+
 def test_product_series_with_constant_factor():
     f = parse_expr("x^2 + x", X)
     got = product_rule_series(f, parse_expr("1", X), "x", 0.5, X)
