@@ -119,22 +119,28 @@ def _samples(f, x: float, h: float, fine: int) -> np.ndarray:
     """
     vals = np.empty(fine + 1, dtype=np.float64)
     k = np.arange(min(fine + 1, BLOCK), dtype=np.float64)
-    for lo in range(0, fine + 1, BLOCK):
-        if lo:
-            np.add(k, BLOCK, k)
-        # the block's nodes x - h k, computed where its samples then go
-        blk = vals[lo:lo + BLOCK]
-        np.multiply(h, k[:blk.shape[0]], blk)
-        np.subtract(x, blk, blk)
-        blk[...] = _sample(f, blk)
-        # every node but t = a must be finite: one reduction is finite only
-        # when every sample is, and the exact scan runs only when it is not
-        inner = vals[lo:min(lo + BLOCK, fine)]
-        if not math.isfinite(np.add.reduce(inner)):
-            ok = np.isfinite(inner)
-            if not ok.all():
-                j = lo + int(np.argmin(ok))
-                raise QuadratureDomainError(f"integrand undefined at sample node t={x - h * j}")
+    # the probe's sum may overflow on finite samples, and f's own overflow or
+    # invalid warnings are silenced here too, node-by-node calls included:
+    # the scan names a non-finite sample, and one at t = a is dropped on
+    # return as the initial point's singularity
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, fine + 1, BLOCK):
+            if lo:
+                np.add(k, BLOCK, k)
+            # the block's nodes x - h k, computed where its samples then go
+            blk = vals[lo:lo + BLOCK]
+            np.multiply(h, k[:blk.shape[0]], blk)
+            np.subtract(x, blk, blk)
+            blk[...] = _sample(f, blk)
+            # every node but t = a must be finite: one reduction is finite only
+            # when every sample is, and the exact scan runs only when it is not
+            inner = vals[lo:min(lo + BLOCK, fine)]
+            if not math.isfinite(np.add.reduce(inner)):
+                ok = np.isfinite(inner)
+                if not ok.all():
+                    j = lo + int(np.argmin(ok))
+                    raise QuadratureDomainError(
+                        f"integrand undefined at sample node t={x - h * j}")
     # f may be singular at the initial point only; the sums start at a + h then
     return vals if math.isfinite(vals[fine]) else vals[:fine]
 

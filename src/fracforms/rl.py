@@ -29,6 +29,7 @@ from .symbolic import (
     classical_derivative,
     degree_in,
     eval_expr,
+    fmt_number,
     is_polynomial_in,
     is_zero,
     restrict_at_initial,
@@ -52,7 +53,9 @@ def power_rule_map(e: Expr, coord: int, q: float, ctx: Context,
 
     ``extra_denominators`` multiplies every coefficient by
     1/prod gamma(d); the coordinate-transform module uses it so that ratios
-    like gamma(nu+1)/gamma(nu+1) cancel exactly.
+    like gamma(nu+1)/gamma(nu+1) cancel exactly.  A coefficient that
+    overflows a double raises ``ValueError`` naming the order and the
+    coordinate ("D^170.5 along x: ...").
     """
     if not math.isfinite(q):
         raise ValueError(f"differintegral order must be finite, got {q}")
@@ -69,7 +72,10 @@ def power_rule_map(e: Expr, coord: int, q: float, ctx: Context,
     k = snap_int(q)
     if k is not None and not extra_denominators:
         if k >= 0:
-            return classical_derivative(e, coord, k)
+            try:
+                return classical_derivative(e, coord, k)
+            except ValueError:  # a coefficient overflowed
+                raise _overflow(q, ctx.names[coord]) from None
 
         def factor(x):
             return _whole_order_factor(x, k)
@@ -85,7 +91,17 @@ def power_rule_map(e: Expr, coord: int, q: float, ctx: Context,
         keep = factors != 0.0
         e, coeffs, factors = e.take(keep), coeffs[keep], factors[keep]
         values = [v for v, f in zip(values, table) if f != 0.0]
-    return shift_column(e, coord, -q, coeffs * factors, values)
+    with np.errstate(over="ignore"):  # an inf coefficient raises in the merge
+        coeffs = coeffs * factors
+    try:
+        return shift_column(e, coord, -q, coeffs, values)
+    except ValueError:  # a coefficient overflowed; p - q stays finite
+        raise _overflow(q, ctx.names[coord]) from None
+
+
+def _overflow(q: float, name: str) -> ValueError:
+    """The error of a power rule whose coefficient overflows a double."""
+    return ValueError(f"D^{fmt_number(q)} along {name}: a coefficient overflows a double")
 
 
 def rl_deriv(e: Expr, coord: int | str, q: float, ctx: Context) -> Expr:

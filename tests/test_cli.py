@@ -77,7 +77,14 @@ def test_deriv_domain_error_exits_3(capsys):
       "--numeric", "--dy", "0.1,0.2"],
      "chart 'scale:2,3', entry (k=0, i=0) along y1 at order 171.5: "
      "GL differintegral of order 171.5 at step 0.00025 overflows a double"),
+    # a partial GL sum overflows; the sample probe before it stays silent
+    (["oracle", "1e307*x^2", "--var", "x", "--order", "-0.5", "--point", "2"],
+     "GL differintegral of order -0.5 at step 2.5e-05 overflows a double"),
+    # the power rule's coefficient overflows a double
+    (["deriv", "x^200", "--var", "x", "--order", "170.5"],
+     "D^170.5 along x: a coefficient overflows a double"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_orders_and_steps_outside_the_domain_exit_3(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (3, "", f"domain error: {message}")

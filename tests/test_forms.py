@@ -135,6 +135,22 @@ def test_form_rejects_order_mismatch():
         Form(1, 0.7, {w: parse_expr("1", XY)})
 
 
+def test_public_constructor_checks_every_word():
+    w = WedgeWord((d("x1", 0.5), d("x2", 0.5)))
+    one = parse_expr("1", XY)
+    with pytest.raises(ValueError, match=r"^word of grade 2 inside a grade-1 form$"):
+        Form(1, 1.0, [(w, one)])
+    with pytest.raises(ValueError, match=r"^word order sum 1\.0 != form total order 1\.5$"):
+        Form(2, 1.5, [(w, one)])
+
+
+def test_a_sum_at_a_nearby_order_takes_the_first_forms_order():
+    a, b = one_form("x1", "x2"), one_form("x2", "x1", nu=0.5 + 5e-10)
+    total = a + b
+    assert total == one_form("x1 + x2", "x2 + x1")
+    assert [w.factors[0].order for w in total.terms] == [0.5, 0.5]
+
+
 def test_scalar_form_wraps_expression():
     s = Form.scalar(parse_expr("x1^2", XY))
     assert s.grade == 0

@@ -142,9 +142,10 @@ def test_both_sums_reject_an_order_that_is_not_finite(q):
     (lambda t: t, 171.5),  # the scale h^-q
     (lambda t: 1e307 * t * t, -0.5),  # a partial sum, in math.fsum
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_both_sums_name_an_overflow(f, q):
     # a typed error naming the operation, the order and the finest step,
-    # not a bare OverflowError
+    # not a bare OverflowError, and no warning from the sample probe before it
     for gl, h in ((lambda: gl_deriv(f, q, 2.0, 0.0, 1e-3), 0.001),
                   (lambda: richardson(f, q, 2.0, 0.0, 1e-3, levels=2), 0.0005)):
         with pytest.raises(QuadratureDomainError) as info:

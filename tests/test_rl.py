@@ -229,6 +229,18 @@ def test_orders_that_are_not_finite_are_rejected(q):
         rl_integ(x2, "x", q, X)
 
 
+@pytest.mark.parametrize("text, q, message", [
+    ("x^200", 170.5, "D^170.5 along x: a coefficient overflows a double"),  # gamma ratio is inf
+    ("x^200", 170.0, "D^170 along x: a coefficient overflows a double"),  # whole order
+    ("1e300*x^100", 50.5, "D^50.5 along x: a coefficient overflows a double"),  # the product
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_power_rule_names_the_operator(text, q, message):
+    with pytest.raises(ValueError) as info:
+        rl_deriv(parse_expr(text, X), "x", q, X)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # boundary restriction helper
 

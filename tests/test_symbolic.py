@@ -272,7 +272,7 @@ def test_power_rule_map_bit_identical_to_term_loop(terms, q, extra, coord):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_power_rule_map_overflowing_coefficient_raises():
     e = Expr.make([(1e308, (3.0,)), (1.0, (2.0,))], 1)
-    with pytest.raises(ValueError, match="term coefficient must be finite"):
+    with pytest.raises(ValueError, match=r"^D\^2 along x: a coefficient overflows a double$"):
         power_rule_map(e, 0, 2.0, X)
 
 
@@ -390,6 +390,74 @@ def test_sum_of_canonical_expressions_matches_general_merge(a_terms, b_terms, pa
     b = canonicalize(_expr(_padded(b_terms, pad, 10.0), 2))
     assert _outcome(lambda: a + b) == _general_merge(a, b)
     assert _outcome(lambda: a - b) == _general_merge(a, -b)
+
+
+# offsets that keep an exponent in its key's bucket, on either side of the key
+_IN_BUCKET = [0.0, 1e-10, -1e-10, 4e-10, -4e-10, 2.0 ** -32, -(2.0 ** -32), 3e-12]
+
+
+@st.composite
+def aligned_sums(draw):
+    """A canonical a of at least seven rows, and a b whose rows are a's with
+    each exponent moved within its key's bucket and a coefficient drawn
+    against a's: so a + b merges two runs with the same keys row by row,
+    unless b drops a row."""
+    terms = _padded(draw(term_lists(max_size=20)), 7, 9.0)
+    if draw(st.booleans()):
+        terms.append(_term(1e308, (11.0, 11.0)))
+    a = canonicalize(_expr(terms, 2))
+    rows = []
+    for c, exps in _terms(a):
+        coeff = draw(st.one_of(
+            st.just(-c),  # cancels exactly
+            # a sum below COEFF_DROP, or just above it
+            st.sampled_from([5e-13, -5e-13, 2e-12]).map(lambda s: -c + s),
+            st.just(c),  # overflows beside 1e308
+            st.floats(min_value=-5.0, max_value=5.0).filter(lambda x: abs(x) >= COEFF_DROP),
+        ))
+        rows.append(_term(coeff, [tolerances.key(p) + draw(st.sampled_from(_IN_BUCKET))
+                                  for p in exps]))
+    return a, canonicalize(_expr(rows, 2))
+
+
+def _aligned_example(a_coeffs, b_coeffs):
+    """Two expressions with the same eight keys and the given coefficients."""
+    exps = [(0.5 * i, 1.0) for i in range(8)]
+    moved = [(p + 4e-10, q - 4e-10) for p, q in exps]
+    return (canonicalize(_expr(list(zip(a_coeffs, exps)), 2)),
+            canonicalize(_expr(list(zip(b_coeffs, moved)), 2)))
+
+
+@given(aligned_sums())
+@example(_aligned_example([1.5] * 8, [-1.5] * 8))  # cancels to the empty expression
+@example(_aligned_example([1.0] * 8, [-1.0 + 5e-13] * 4 + [2.0] * 4))  # sums below COEFF_DROP
+@example(_aligned_example([1e308] + [1.0] * 7, [1e308] + [1.0] * 7))  # a sum overflows
+@settings(max_examples=200, deadline=None)
+def test_sum_of_aligned_expressions_matches_general_merge(ab):
+    a, b = ab
+    assert _outcome(lambda: a + b) == _general_merge(a, b)
+    assert _outcome(lambda: a - b) == _general_merge(a, -b)
+
+
+def test_cross_partials_of_a_grid_sum_without_sorting(monkeypatch):
+    ctx = Context.of(("x", "y", "z"))
+    grid = (0.25, 0.5, 1.0, 1.75, 2.5, 3.0)
+    f = Expr.make([(1.0 + i / 7.0, exps)
+                   for i, exps in enumerate(itertools.product(grid, repeat=3))], 3)
+    assert len(f.coeffs) == 216
+    cases = []
+    for q in (0.5, 1.5):
+        d12 = rl_deriv(rl_deriv(f, 1, q, ctx), 0, q, ctx)
+        d21 = rl_deriv(rl_deriv(f, 0, q, ctx), 1, q, ctx)
+        assert len(d12.coeffs) == len(d21.coeffs) > symbolic._SMALL_MERGE
+        cases.append((d12, d21, _general_merge(d12, -d21)))
+
+    def sort(ks):
+        raise AssertionError("a sum of aligned runs sorted its rows")
+
+    monkeypatch.setattr(symbolic, "_sort_rows", sort)
+    for d12, d21, want in cases:
+        assert _outcome(lambda: d12 - d21) == want
 
 
 @given(term_lists())
