@@ -82,7 +82,7 @@ def is_closed(alpha: Form, mu: float, ctx: Context) -> ClosureReport:
     if mu <= EXP_TOL:
         raise ValueError(f"closedness order must be positive, got {mu}")
     nu = alpha.total_order
-    order = nu if abs(mu - nu) <= EXP_TOL else mu
+    order = nu if alpha.has_order(mu) else mu
     witnesses = []
     for word, res in frac_exterior_deriv(alpha, order, ctx).terms.items():
         if max_abs_coeff(res) <= RESIDUAL_TOL:
@@ -155,7 +155,7 @@ def solve_exact(alpha: Form, nu: float, ctx: Context) -> ExactnessResult:
     if nu <= EXP_TOL:
         return ExactnessResult("unsupported", reason="order must be positive")
     order = alpha.total_order
-    if abs(order - nu) > EXP_TOL:
+    if not alpha.has_order(nu):
         raise ValueError(f"form order {order} does not match requested order {nu}")
 
     gamma, f, failure = alpha, Expr.zero(ctx.n), None

@@ -54,7 +54,6 @@ from .symbolic import (
     monomial,
     print_expr,
 )
-from .tolerances import EXP_TOL
 
 Evaluable = Expr | Callable[[Sequence[float]], float]
 
@@ -345,9 +344,6 @@ def _numeric_entries(chart: Chart, nu: float, point, h0: float, levels: int) -> 
             if whole is not None:
                 val = _central_derivative(line, point[i], whole)
             else:
-                if not point[i] > atil[i]:
-                    raise QuadratureDomainError(
-                        f"numeric entries need point[{i}] > {atil[i]}, got {point[i]}")
                 try:
                     val = richardson(line, nu, point[i], atil[i], h0, levels).value
                 except QuadratureDomainError as exc:
@@ -369,8 +365,8 @@ def jacobian(chart: Chart, nu: float, point: Sequence[float] | None = None,
     ``point``, GL sums with base step ``h0`` and ``levels`` extrapolation
     levels; without a point that is an ``UnsupportedError`` for an Expr chart
     and a ``ValueError`` for a black-box one.  ``jacobian(chart.black_box(),
-    ...)`` takes numeric entries of an Expr chart.  An order within
-    ``EXP_TOL`` of a whole k is taken as k.
+    ...)`` takes numeric entries of an Expr chart.  An order that
+    :func:`~fracforms.specialfn.snap_int` snaps to a whole k is taken as k.
     """
     nu = float(nu)
     if not 0 < nu < math.inf:
@@ -420,7 +416,7 @@ def _compose_monomial(e: Expr, chart: Chart) -> Expr:
     for c, exps in zip(e.coeffs.tolist(), e.exponents.tolist()):
         acc = Expr.constant(c, chart.n)
         for j, p in enumerate(exps):
-            if p:  # canonical exponents within EXP_TOL of 0 are 0
+            if p:  # canonical exponents snap to 0 near 0
                 acc = acc * (chart.forward[j] + Expr.constant(-a[j], chart.n)).pow(p)
         out = out + acc
     return out
@@ -436,7 +432,7 @@ def transform_form(A: Form, J: JacobianMatrix) -> Form:
     chart = J.chart
     nu = A.total_order
     comps = [A.component(k, chart.ctx_x.n) for k in range(chart.n)]
-    if abs(nu - J.nu) > EXP_TOL:
+    if not A.has_order(J.nu):
         raise ValueError(f"form order {nu} != matrix order {J.nu}")
     if J.mode == "numeric":
         x_pt = chart.x_of(J.point)

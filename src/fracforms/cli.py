@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification-suite failure, 2 parse/usage errors,
-3 domain errors (bad exponents, points outside the chart domain, poles), 4
-unsupported requests.  Results go to standard output; error messages go to
-standard error.  Text mode prints numbers with 10 significant digits; JSON
-mode keeps full precision.
+Exit codes follow the types of :mod:`fracforms.errors`, and a verb checks
+nothing that the library does not: 0 success, 1 verification-suite
+failure, 2 a ``ParseError`` or a usage error, 4 an ``UnsupportedError``, and
+3 for the rest: a ``VerificationError`` (``error:``) and every other
+``FracFormsError`` or ``ValueError`` (``domain error:``: bad exponents,
+orders or steps, points outside a domain, poles, overflow).  Results go to
+standard output; error messages go to standard error.  Text mode prints
+numbers with 10 significant digits; JSON mode keeps full precision.
 """
 
 from __future__ import annotations
@@ -27,17 +30,7 @@ from .charts import (
     metric,
     polar_radial_closed_form,
 )
-from .errors import (
-    BoundarySingularityError,
-    EvalDomainError,
-    ExponentDomainError,
-    FracFormsError,
-    NegativeQuadraticFormError,
-    ParseError,
-    PoleError,
-    QuadratureDomainError,
-    UnsupportedError,
-)
+from .errors import FracFormsError, ParseError, UnsupportedError, VerificationError
 from .forms import forms_close, frac_exterior_deriv, form_to_json, parse_form, print_form
 from .oracle import expr_univariate, gl_deriv, richardson
 from .rl import rl_deriv, rl_integ
@@ -55,16 +48,6 @@ from .symbolic import (
 from .tolerances import RESIDUAL_TOL
 
 DIGITS = 10
-
-_DOMAIN_ERRORS = (
-    ExponentDomainError,
-    EvalDomainError,
-    PoleError,
-    BoundarySingularityError,
-    QuadratureDomainError,
-    NegativeQuadraticFormError,
-    ValueError,
-)
 
 
 def _fmt(x: float) -> str:
@@ -98,18 +81,16 @@ def infer_coords(text: str) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def _context(args, input_text: str | None = None) -> Context:
-    if getattr(args, "coords", None):
+def _context(args, input_text: str) -> Context:
+    if args.coords:
         names = _split_names(args.coords)
-    elif input_text is not None:
+    else:
         names = infer_coords(input_text)
         if not names:
             raise ParseError(
                 "cannot infer coordinates from the input; pass --coords")
-    else:
-        raise ParseError("this command requires --coords")
     origin = None
-    if getattr(args, "origin", None):
+    if args.origin:
         origin = _split_floats(args.origin)
         if len(origin) != len(names):
             raise ParseError(
@@ -118,7 +99,7 @@ def _context(args, input_text: str | None = None) -> Context:
 
 
 def _emit(args, text_lines, payload) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload))
     else:
         for line in text_lines:
@@ -175,8 +156,7 @@ def cmd_closed(args) -> int:
 def cmd_exact(args) -> int:
     ctx = _context(args, args.input)
     form = parse_form(args.input, ctx)
-    nu = args.order if args.order is not None else form.total_order
-    result = solve_exact(form, nu, ctx)
+    result = solve_exact(form, form.total_order, ctx)
     if result.status == "unsupported":
         raise UnsupportedError(result.reason or "unsupported")
     if result.status == "exact":
@@ -255,10 +235,8 @@ def cmd_oracle(args) -> int:
     ctx = _context(args, args.expr)
     e = parse_expr(args.expr, ctx)
     point = _split_floats(args.point)
-    if len(point) != ctx.n:
-        raise ValueError(f"point has {len(point)} coordinates, context has {ctx.n}")
+    f = expr_univariate(e, ctx, args.var, point)
     var = ctx.index(args.var)
-    f = expr_univariate(e, ctx, var, point)
     x = float(point[var])
     a = ctx.initial_points[var]
     if args.levels <= 1:
@@ -418,29 +396,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Symbolic-numeric fractional calculus and fractional forms.")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, coords=True, order=True):
-        if coords:
-            sp.add_argument("--coords", help="comma-separated coordinate names")
-            sp.add_argument("--origin", help="comma-separated initial points (default 0)")
+    def common(sp, order=True):
+        sp.add_argument("--coords", help="comma-separated coordinate names")
+        sp.add_argument("--origin", help="comma-separated initial points (default 0)")
         if order:
-            sp.add_argument("--order", type=float, required=order == "required",
-                            help="differintegral order")
+            sp.add_argument("--order", type=float, required=True, help="differintegral order")
         sp.add_argument("--json", action="store_true", help="emit JSON")
 
     sp = sub.add_parser("deriv", help="fractional derivative of an expression")
-    common(sp, order="required")
+    common(sp)
     sp.add_argument("--var", required=True, help="coordinate to differentiate along")
     sp.add_argument("expr")
     sp.set_defaults(func=cmd_deriv)
 
     sp = sub.add_parser("integ", help="fractional integral of an expression")
-    common(sp, order="required")
+    common(sp)
     sp.add_argument("--var", required=True)
     sp.add_argument("expr")
     sp.set_defaults(func=cmd_integ)
 
     sp = sub.add_parser("dv", help="fractional exterior derivative")
-    common(sp, order="required")
+    common(sp)
     sp.add_argument("input", help="expression or form literal")
     sp.set_defaults(func=cmd_dv)
 
@@ -453,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     text = ("reconstruct a potential for a grade-1 form of any order > 0 at any "
             "initial points, or print the closure witness `frac closed` prints")
     sp = sub.add_parser("exact", help=text, description=text)
-    common(sp)
+    common(sp, order=False)
     sp.add_argument("input", help="form literal")
     sp.set_defaults(func=cmd_exact)
 
@@ -479,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("oracle", help="GL numeric check of a symbolic derivative")
-    common(sp, order="required")
+    common(sp)
     sp.add_argument("--var", required=True)
     sp.add_argument("--point", required=True, help="full evaluation point")
     sp.add_argument("--h", type=float, default=1e-4, help="base GL step")
@@ -507,11 +483,11 @@ def main(argv=None) -> int:
     except UnsupportedError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 4
-    except _DOMAIN_ERRORS as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
-    except FracFormsError as exc:
+    except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (FracFormsError, ValueError) as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
         return 3
 
 

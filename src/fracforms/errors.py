@@ -36,8 +36,9 @@ class BoundarySingularityError(FracFormsError):
 
 
 class QuadratureDomainError(FracFormsError):
-    """The numeric oracle sampled the integrand where it is undefined, or a
-    GL sum or its scale step^-order does not fit in a double."""
+    """The numeric oracle was asked for a point not above the initial point,
+    sampled the integrand where it is undefined, or a GL sum or its scale
+    step^-order does not fit in a double."""
 
 
 class UnsupportedError(FracFormsError):

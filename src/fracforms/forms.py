@@ -11,7 +11,10 @@ scalar).  Every word in one form must carry the same number of factors and
 the same total order; the factor orders themselves may differ word to word.
 
 The :class:`Form` constructor, which takes a mapping or (word, coefficient)
-pairs, is the one place that sums the coefficients of equal words.
+pairs, is the one place that sums the coefficients of equal words.  A form
+owns its order: :meth:`Form.has_order` is the one test of whether an order
+is the form's, that is within ``EXP_TOL`` of ``total_order``, and
+closedness, exactness and chart transforms ask it rather than compare.
 
 The text syntax of form literals is in :mod:`fracforms.symbolic`, whose
 scanner reads them; a sum-valued coefficient is written by repeating the
@@ -97,6 +100,13 @@ def canonical_word(factors: Iterable[DiffFactor]) -> tuple[int, WedgeWord | None
     return sign, WedgeWord(tuple(fs))
 
 
+def _same_order(order: float, total_order: float, grade: int = 1) -> bool:
+    """Is ``order``, a word's order sum or an order asked of a form, the total
+    order: equal to it (so an order sum that overflows to inf matches
+    itself), or within ``EXP_TOL`` per factor of a grade-``grade`` word?"""
+    return order == total_order or abs(order - total_order) <= EXP_TOL * max(1, grade)
+
+
 class Form:
     """A uniform-grade, uniform-total-order sum of coefficient-weighted words.
 
@@ -114,7 +124,7 @@ class Form:
                 raise ValueError(
                     f"word of grade {word.grade} inside a grade-{grade} form"
                 )
-            if abs(word.order_sum - total_order) > EXP_TOL * max(1, grade):
+            if not _same_order(word.order_sum, total_order, grade):
                 raise ValueError(
                     f"word order sum {word.order_sum} != form total order {total_order}"
                 )
@@ -147,8 +157,13 @@ class Form:
             raise ValueError(f"expected a grade-1 form, got grade {self.grade}")
         return self.coefficient(WedgeWord((DiffFactor(coord, self.total_order),)), n)
 
+    def has_order(self, order: float) -> bool:
+        """Is ``order`` this form's order: ``total_order`` or within
+        ``EXP_TOL`` of it?"""
+        return _same_order(order, self.total_order)
+
     def _binary_check(self, other: "Form"):
-        if self.grade != other.grade or abs(self.total_order - other.total_order) > EXP_TOL:
+        if self.grade != other.grade or not self.has_order(other.total_order):
             raise ValueError("forms of different grade or total order cannot be combined")
 
     def __add__(self, other: "Form") -> "Form":
@@ -182,8 +197,7 @@ class Form:
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return (self.grade == other.grade
-                and abs(self.total_order - other.total_order) <= EXP_TOL
+        return (self.grade == other.grade and self.has_order(other.total_order)
                 and self.terms == other.terms)
 
     def __repr__(self):
@@ -192,7 +206,7 @@ class Form:
 
 def forms_close(a: Form, b: Form, tol: float = COEFF_DROP) -> bool:
     """Canonical equality up to a coefficient tolerance."""
-    if a.grade != b.grade or abs(a.total_order - b.total_order) > EXP_TOL:
+    if a.grade != b.grade or not a.has_order(b.total_order):
         return False
     for w in set(a.terms) | set(b.terms):
         ca, cb = a.terms.get(w), b.terms.get(w)
@@ -269,7 +283,7 @@ def parse_form(text: str, ctx: Context) -> Form:
             continue
         if total_order is None:
             total_order = word.order_sum
-        elif abs(word.order_sum - total_order) > EXP_TOL * max(1, grade):
+        elif not _same_order(word.order_sum, total_order, grade):
             for pairs in words.values():  # an earlier term that is not finite outranks this
                 Expr.make(pairs, ctx.n)
             raise ParseError("every term of a form must carry the same total order")

@@ -28,7 +28,10 @@ samples of every level as f - f(x), so the rounding of the large, nearly
 cancelling products near x stays below the sum itself (see
 :mod:`fracforms.kernels`).  A sum or a scale h^(-q) beyond the largest
 double is a :class:`~fracforms.errors.QuadratureDomainError` that names the
-order and the finest step.
+order and the finest step.  So is a point at or below the initial point:
+the oracle owns that rule, and a numeric chart entry reports it under the
+chart's name.  :func:`expr_univariate` takes a point with one entry per
+coordinate and rejects any other length with a ``ValueError``.
 
 The samples are the only array as long as the finest grid (8 bytes a
 node).  f is called on one block of :data:`~fracforms.kernels.BLOCK` nodes
@@ -146,12 +149,15 @@ def _samples(f, x: float, h: float, fine: int) -> np.ndarray:
 
 
 def _check_grid(q: float, x: float, a: float, h: float) -> None:
-    """Reject what no GL sum is defined for: an order that is not finite, a
-    point not above the initial point, a step that is not positive and finite."""
+    """Reject what no GL sum is defined for: an order that is not finite or
+    a step that is not positive and finite (``ValueError``), and a point not
+    above the initial point (the oracle's domain error,
+    :class:`~fracforms.errors.QuadratureDomainError`)."""
     if not math.isfinite(q):
         raise ValueError(f"GL order must be finite, got {q}")
     if not x > a:
-        raise ValueError(f"evaluation point must sit above the initial point ({x} <= {a})")
+        raise QuadratureDomainError(
+            f"evaluation point must sit above the initial point ({x} <= {a})")
     if not 0 < h < math.inf:
         raise ValueError(f"GL step must be positive and finite, got {h}")
 
@@ -290,5 +296,8 @@ def _into(op, x, y):
 
 
 def expr_univariate(e: Expr, ctx: Context, coord: int | str, point: Sequence[float]) -> Callable:
-    """Freeze every coordinate but one, returning a vectorized t -> f(t)."""
+    """Freeze every coordinate but one at ``point``, which has one entry per
+    coordinate, returning a vectorized t -> f(t)."""
+    if len(point) != ctx.n:
+        raise ValueError(f"point has {len(point)} coordinates, context has {ctx.n}")
     return freeze_all_but(expr_evaluable(e, ctx), ctx.index(coord), point)

@@ -719,7 +719,10 @@ def classical_derivative(e: Expr, coord: int, order: int = 1) -> Expr:
 
     A term dies exactly when its exponent hits a whole number below ``order``
     (the factor chain reaches zero); near-integer exponents are snapped so
-    float dust cannot keep a dead term alive.
+    float dust cannot keep a dead term alive.  Past the largest exponent no
+    step kills a term, so the loop stops, checking every 64 steps, once every
+    live coefficient has overflowed: the outcome is then decided (no term
+    left, or the overflow error), and any order returns in bounded time.
     """
     if order < 0 or order != int(order):
         raise ValueError("classical derivative order must be a whole number >= 0")
@@ -731,6 +734,8 @@ def classical_derivative(e: Expr, coord: int, order: int = 1) -> Expr:
             f = p - step
             alive &= ~(np.abs(f) <= EXP_TOL)
             coeffs = coeffs * f
+            if step & 63 == 63 and step > p.max(initial=0.0) and np.isinf(coeffs[alive]).all():
+                break
     if not alive.all():
         e, coeffs = e.take(alive), coeffs[alive]
     return shift_column(e, coord, -float(order), coeffs)

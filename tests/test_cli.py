@@ -6,6 +6,7 @@ import pytest
 
 from fracforms import (Context, exprs_close, form_from_json, frac_exterior_deriv, forms_close,
                        parse_expr)
+from fracforms import cli, errors
 from fracforms.charts import get_chart, inverse_residual, polar_radial_closed_form
 from fracforms.cli import infer_coords, main
 
@@ -131,6 +132,63 @@ def test_origin_length_mismatch_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["deriv", "x", "--coords", ",", "--var", "x", "--order", "0.5"],
+     2, "parse error: empty coordinate list"),
+    (["deriv", "x", "--origin", "a,b", "--var", "x", "--order", "0.5"],
+     2, "parse error: expected comma-separated numbers, got 'a,b'"),
+    (["deriv", "1", "--var", "x", "--order", "0.5"],
+     2, "parse error: cannot infer coordinates from the input; pass --coords"),
+    (["jacobian", "--chart", "scale:3", "--order", "0.5", "--residual"],
+     3, "domain error: --residual needs --point"),
+    (["lineelement", "--chart", "identity", "--order", "1", "--dy", "3,4"],
+     3, "domain error: lineelement needs --point"),
+    (["oracle", "x*y", "--var", "x", "--order", "0.5", "--point", "2"],
+     3, "domain error: point has 1 coordinates, context has 2"),
+    (["jacobian", "--chart", "scale:a", "--order", "1"],
+     3, "domain error: bad scale factors in chart spec 'scale:a'"),
+    (["jacobian", "--chart", "affine:1,x;2,3", "--order", "1"],
+     3, "domain error: bad matrix in chart spec 'affine:1,x;2,3'"),
+    (["jacobian", "--chart", "affine:1,2,3;4,5,6", "--order", "1"],
+     3, "domain error: affine chart needs a square matrix, got shape (2, 3)"),
+    (["jacobian", "--chart", "polar", "--order", "0.5", "--point", "1,2,3"],
+     3, "domain error: point has 3 coordinates, chart has 2"),
+    (["lineelement", "--chart", "identity", "--order", "1", "--point", "1,1", "--dy", "3"],
+     3, "domain error: expected 2 displacement components, got (1,)"),
+])
+def test_input_validation_exit_codes_and_messages(capsys, argv, code, message):
+    assert run(capsys, *argv) == (code, "", message)
+
+
+# every class in errors.py, with the exit code and prefix the cli docstring gives it
+EXIT_OF_ERROR = {
+    "FracFormsError": (3, "domain error:"),
+    "ParseError": (2, "parse error:"),
+    "UnknownCoordinateError": (2, "parse error:"),
+    "PoleError": (3, "domain error:"),
+    "EvalDomainError": (3, "domain error:"),
+    "ExponentDomainError": (3, "domain error:"),
+    "BoundarySingularityError": (3, "domain error:"),
+    "QuadratureDomainError": (3, "domain error:"),
+    "UnsupportedError": (4, "unsupported:"),
+    "VerificationError": (3, "error:"),
+    "NegativeQuadraticFormError": (3, "domain error:"),
+}
+
+
+def test_every_error_type_has_its_exit_code_and_prefix(capsys, monkeypatch):
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.FracFormsError)}
+    assert classes.keys() == EXIT_OF_ERROR.keys()
+    for name, cls in classes.items():
+        def fail(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_verify", fail)
+        code, prefix = EXIT_OF_ERROR[name]
+        assert run(capsys, "verify") == (code, "", f"{prefix} boom"), name
+
+
 # ---------------------------------------------------------------------------
 # graded derivative
 
@@ -234,11 +292,11 @@ def test_exact_unsupported_order_exits_4(capsys):
     assert code == 4
     assert err.startswith("unsupported:")
     assert "exponent -1.5 on x is outside the operator domain" in err
-    # an --order off the form's own order is a usage error, not an unsupported one
-    code, out, err = run(capsys, "exact", "x2 d(x1,1)", "--order", "1.5")
-    assert code == 3
-    assert out == ""
-    assert "does not match requested order 1.5" in err
+    # the form carries its order, so exact takes no --order: a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "x2 d(x1,1)", "--order", "1.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order 1.5" in capsys.readouterr().err
 
 
 def test_exact_and_closed_agree_at_shifted_initial_points(capsys):

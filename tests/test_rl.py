@@ -241,6 +241,23 @@ def test_an_overflowing_power_rule_names_the_operator(text, q, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("text, q", [
+    ("x", -1e15),  # the factor product is inf long before the last factor
+    ("x^200", -1e308),
+    ("x^2", 1e15),  # every term dies at step 2
+    ("0", 1e15),
+])
+def test_large_whole_orders_return_at_once(text, q):
+    assert len(rl_deriv(parse_expr(text, X), "x", q, X).coeffs) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_large_whole_order_that_overflows_names_the_operator():
+    with pytest.raises(ValueError) as info:
+        rl_deriv(parse_expr("x^2.5 + x", X), "x", 1e7, X)
+    assert str(info.value) == "D^10000000 along x: a coefficient overflows a double"
+
+
 # ---------------------------------------------------------------------------
 # boundary restriction helper
 

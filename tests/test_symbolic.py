@@ -336,6 +336,22 @@ def test_classical_derivative_bit_identical_to_term_loop(terms, order, coord):
             == _outcome(_ref_classical_derivative, _terms(e), 2, coord, order))
 
 
+@pytest.mark.parametrize("order", [63, 64, 128, 200, 1000])
+@pytest.mark.parametrize("terms", [
+    [],
+    [_term(1.0, (2.0, 0.5)), _term(-3.0, (3.0, 1.0))],  # every term dies
+    [_term(1.0, (0.5, 0.5))],  # live and finite at order 64, inf by 128
+    [_term(1.0, (2.0, 0.5)), _term(-3.0, (2.5, 1.0)), _term(2.0, (70.0, 0.0))],
+    [_term(1e-6, (150.5, 0.0)), _term(1.0, (100.0, 1.0))],  # past the top exponent late
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_classical_derivative_that_stops_early_is_bit_identical_to_term_loop(terms, order):
+    # past the largest exponent the loop stops once every live coefficient is inf
+    e = canonicalize(_expr(terms, 2))
+    assert (_outcome(classical_derivative, e, 0, order)
+            == _outcome(_ref_classical_derivative, _terms(e), 2, 0, order))
+
+
 def test_rl_deriv_of_a_canonical_expression_runs_no_merge(monkeypatch):
     ctx = Context.of(("x", "y", "z"))
     grid = (0.25, 0.5, 1.0, 1.75, 2.5, 3.0)
