@@ -20,18 +20,23 @@ A Richardson call samples f once, on its finest grid, and computes the GL
 weights once: the coarser grids are strided slices of those samples (their
 step is the fine step times a power of two, so the nodes are bit for bit the
 same) and their weights are a prefix of the fine weights.  The sums use the
-compensated kernel in :mod:`fracforms.kernels`, which sums every level in
-one pass over the weights (:func:`~fracforms.kernels.gl_level_sums`).
+kernel in :mod:`fracforms.kernels`, one ``np.add.reduce`` per block of
+products, which sums every level in one pass over the weights
+(:func:`~fracforms.kernels.gl_level_sums`).
 
 For q > 0 the kernel sums the first :data:`~fracforms.kernels.HEAD`
 samples of every level as f - f(x), so the rounding of the large, nearly
 cancelling products near x stays below the sum itself (see
-:mod:`fracforms.kernels`).  A sum or a scale h^(-q) beyond the largest
-double is a :class:`~fracforms.errors.QuadratureDomainError` that names the
-order and the finest step.  So is a point at or below the initial point:
-the oracle owns that rule, and a numeric chart entry reports it under the
-chart's name.  :func:`expr_univariate` takes a point with one entry per
-coordinate and rejects any other length with a ``ValueError``.
+:mod:`fracforms.kernels`).  A block sum, a scale h^(-q) or a scaled level
+beyond the largest double is a
+:class:`~fracforms.errors.QuadratureDomainError` that names the order and
+the finest step, with no numpy warning before it.  So is a point at or
+below the initial point: the oracle owns that rule, and a numeric chart
+entry reports it under the chart's name.  A finest grid of more than
+:data:`_MAX_NODES` nodes is a ``ValueError`` that names the nodes, the
+bytes, the step and the levels, raised before anything is allocated.
+:func:`expr_univariate` takes a point with one entry per coordinate and
+rejects any other length with a ``ValueError``.
 
 The samples are the only array as long as the finest grid (8 bytes a
 node).  f is called on one block of :data:`~fracforms.kernels.BLOCK` nodes
@@ -61,6 +66,11 @@ from .kernels import BLOCK, gl_level_sums
 from .symbolic import Context, Expr
 
 MIN_STEPS = 10
+
+# The most nodes a finest grid may have: its samples, the one array as long
+# as the grid, then take 1 GiB.  Far finer than any step the oracle needs,
+# and it turns a step that would ask for tens of gigabytes into an error.
+_MAX_NODES = 1 << 27
 
 
 def _sample(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
@@ -102,10 +112,13 @@ def _gl_levels(f, q: float, x: float, a: float, steps: int, levels: int) -> list
     strides = [1 << (levels - 1 - lvl) for lvl in range(levels)]
     try:
         sums = gl_level_sums(q, vals, strides)
-        return [total * (h * s) ** (-q) for total, s in zip(sums, strides)]
-    except OverflowError:  # a partial sum, or the scale step^-order
-        raise QuadratureDomainError(
-            f"GL differintegral of order {q} at step {h} overflows a double") from None
+        scaled = [total * (h * s) ** (-q) for total, s in zip(sums, strides)]
+        if all(map(math.isfinite, scaled)):
+            return scaled
+    except OverflowError:  # a block sum, or the scale step^-order
+        pass
+    # an overflow above, or a finite sum times a finite scale beyond the largest double
+    raise QuadratureDomainError(f"GL differintegral of order {q} at step {h} overflows a double")
 
 
 def _samples(f, x: float, h: float, fine: int) -> np.ndarray:
@@ -148,11 +161,13 @@ def _samples(f, x: float, h: float, fine: int) -> np.ndarray:
     return vals if math.isfinite(vals[fine]) else vals[:fine]
 
 
-def _check_grid(q: float, x: float, a: float, h: float) -> None:
+def _check_grid(q: float, x: float, a: float, h: float, levels: int) -> None:
     """Reject what no GL sum is defined for: an order that is not finite or
     a step that is not positive and finite (``ValueError``), and a point not
     above the initial point (the oracle's domain error,
-    :class:`~fracforms.errors.QuadratureDomainError`)."""
+    :class:`~fracforms.errors.QuadratureDomainError`).  A finest grid of
+    more than :data:`_MAX_NODES` nodes is refused as a ``ValueError`` too,
+    before anything is allocated."""
     if not math.isfinite(q):
         raise ValueError(f"GL order must be finite, got {q}")
     if not x > a:
@@ -160,6 +175,11 @@ def _check_grid(q: float, x: float, a: float, h: float) -> None:
             f"evaluation point must sit above the initial point ({x} <= {a})")
     if not 0 < h < math.inf:
         raise ValueError(f"GL step must be positive and finite, got {h}")
+    nodes = (x - a) / h * 2.0 ** (levels - 1)
+    if nodes > _MAX_NODES:
+        raise ValueError(
+            f"GL grid of {nodes:.3g} nodes ({8 * nodes:.3g} bytes of samples) at step {h} "
+            f"and {levels} levels exceeds the cap of {_MAX_NODES} nodes")
 
 
 def gl_deriv(f: Callable, q: float, x: float, a: float = 0.0, h: float = 1e-4) -> float:
@@ -168,7 +188,7 @@ def gl_deriv(f: Callable, q: float, x: float, a: float = 0.0, h: float = 1e-4) -
     ``h`` is nudged to the nearest value that divides x - a into a whole
     number of steps (at least :data:`MIN_STEPS`).
     """
-    _check_grid(q, x, a, h)
+    _check_grid(q, x, a, h, 1)
     steps = int(round((x - a) / h))
     if steps < MIN_STEPS:
         raise ValueError(
@@ -215,7 +235,7 @@ def richardson(f: Callable, q: float, x: float, a: float = 0.0, h0: float = 1e-4
     """
     if not 2 <= levels <= 5:
         raise ValueError(f"levels must be between 2 and 5, got {levels}")
-    _check_grid(q, x, a, h0)
+    _check_grid(q, x, a, h0, levels)
     steps0 = max(MIN_STEPS, int(round((x - a) / h0)))
     plain = _gl_levels(f, float(q), float(x), float(a), steps0, levels)
     rows = richardson_table(plain, range(1, levels))

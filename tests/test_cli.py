@@ -81,6 +81,13 @@ def test_deriv_domain_error_exits_3(capsys):
     # a partial GL sum overflows; the sample probe before it stays silent
     (["oracle", "1e307*x^2", "--var", "x", "--order", "-0.5", "--point", "2"],
      "GL differintegral of order -0.5 at step 2.5e-05 overflows a double"),
+    # the finest GL grid would have more nodes than the oracle's cap
+    (["oracle", "x", "--var", "x", "--order", "0.5", "--point", "1e300", "--h", "1e-300"],
+     "GL grid of inf nodes (inf bytes of samples) at step 1e-300 and 3 levels "
+     "exceeds the cap of 134217728 nodes"),
+    (["jacobian", "--chart", "polar", "--order", "0.5", "--point", "1e300,0.7", "--h", "1e-300"],
+     "GL grid of inf nodes (inf bytes of samples) at step 1e-300 and 3 levels "
+     "exceeds the cap of 134217728 nodes"),
     # the power rule's coefficient overflows a double
     (["deriv", "x^200", "--var", "x", "--order", "170.5"],
      "D^170.5 along x: a coefficient overflows a double"),

@@ -1,7 +1,8 @@
-"""GL weights and the compensated weighted-sum kernel behind the quadrature."""
+"""GL weights and the blocked weighted-sum kernel behind the quadrature."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from fracforms import gen_binomial
 from fracforms.kernels import (
     BLOCK,
-    FSUM_TAIL,
     HEAD,
     backend,
     gl_level_sums,
@@ -76,11 +76,25 @@ def test_numpy_sum_matches_fsum():
     assert gl_weighted_sum(vals, w) == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
-def _fsum_bound(w, f):
-    """math.fsum of the rounded products, and the kernel's stated error bound."""
+def _plain_bound(prods, *sums):
+    """The bound of the kernel's sum of ``prods`` from the exact sum, as the
+    kernels module derives it: gamma_d sum |p_k|, with d the most additions
+    between a product and numpy's pairwise sum of a block of b products (24
+    in its unrolled base case of up to 128 values, plus ceil(log2(b / 112))
+    halvings), and one rounding, 2^-53 |s|, for each of ``sums``."""
+    b = min(len(prods), BLOCK)
+    d = 24 + max(0, math.ceil(math.log2(b / 112)))
+    u = 2.0**-53
+    return d * u / (1 - d * u) * math.fsum(np.abs(prods).tolist()) + u * sum(map(abs, sums))
+
+
+def _matches_fsum(f, w):
+    """The kernel's sum of the products w_k f_k is within its bound of their
+    math.fsum: both are within it of the exact sum, fsum by one rounding."""
     prods = w[: len(f)] * f
     want = math.fsum(prods.tolist())
-    return want, 2.0**-50 * abs(want) + len(f) * 2.0**-104 * math.fsum(np.abs(prods).tolist())
+    got = gl_weighted_sum(f, w)
+    return abs(got - want) <= _plain_bound(prods, got, want)
 
 
 @given(
@@ -96,9 +110,7 @@ def test_sum_matches_fsum_property(q, n, p, seed):
     rng = np.random.default_rng(seed)
     t = 1.0 - np.arange(n) / n
     f = t**p + rng.normal(size=n) * 10.0 ** rng.uniform(-30, 0, size=n)
-    w = gl_weights(q, n + 3)
-    want, bound = _fsum_bound(w, f)
-    assert abs(gl_weighted_sum(f, w) - want) <= bound
+    assert _matches_fsum(f, gl_weights(q, n + 3))
 
 
 # sizes on and around block edges, plus anything up to four blocks and a
@@ -121,13 +133,11 @@ _block_sizes = st.one_of(
 @settings(max_examples=60, deadline=None)
 def test_sum_matches_fsum_across_blocks_property(q, n, p, seed):
     # the samples of test_sum_matches_fsum_property at sizes that span
-    # several blocks; every block's fold obeys the same bound
+    # several blocks; every block's sum obeys the bound of one block
     rng = np.random.default_rng(seed)
     t = 1.0 - np.arange(n) / n
     f = t**p + rng.normal(size=n) * 10.0 ** rng.uniform(-30, 0, size=n)
-    w = gl_weights(q, n + 3)
-    want, bound = _fsum_bound(w, f)
-    assert abs(gl_weighted_sum(f, w) - want) <= bound
+    assert _matches_fsum(f, gl_weights(q, n + 3))
 
 
 @given(
@@ -164,32 +174,6 @@ def test_one_pass_level_sums_equal_each_level_summed_alone(q, n, strides, seed):
         assert total == want, s
 
 
-def _unblocked_sum(fvals, weights):
-    """The kernel as it was before blocking: one fold over all n products."""
-    fvals = np.asarray(fvals, dtype=np.float64)
-    n = fvals.shape[0]
-    a = np.multiply(weights[:n], fvals)
-    s_buf = np.empty((n + 1) // 2)
-    bb_buf = np.empty(n // 2)
-    err_sums = []
-    m = n
-    while m > FSUM_TAIL:
-        h = m // 2
-        x, y, s, bb = a[:h], a[h:2 * h], s_buf[:h], bb_buf[:h]
-        np.add(x, y, out=s)
-        np.subtract(s, x, out=bb)
-        np.subtract(y, bb, out=y)
-        np.subtract(s, bb, out=bb)
-        np.subtract(x, bb, out=x)
-        np.add(x, y, out=x)
-        err_sums.append(float(x.sum()))
-        if m & 1:
-            s_buf[h] = a[m - 1]
-            h += 1
-        a, s_buf, m = s_buf, a, h
-    return math.fsum(a[:m].tolist() + err_sums)
-
-
 @given(
     st.floats(min_value=-2.0, max_value=2.0, exclude_min=True, exclude_max=True),
     st.integers(min_value=0, max_value=BLOCK),
@@ -197,28 +181,64 @@ def _unblocked_sum(fvals, weights):
     st.integers(min_value=1, max_value=3),
 )
 @example(0.7, 0, 0, 1)
-@example(0.7, FSUM_TAIL + 1, 0, 1)
+@example(0.7, 129, 0, 1)  # numpy's pairwise sum halves once
 @example(1.3, BLOCK - 1, 1, 2)
 @example(-0.4, BLOCK, 2, 3)
 @settings(max_examples=100, deadline=None)
-def test_one_block_sum_is_the_unblocked_kernel_bit_for_bit(q, n, seed, stride):
+def test_one_block_sum_is_one_reduction_of_its_products(q, n, seed, stride):
     # strided samples, as each Richardson level passes them
     rng = np.random.default_rng(seed)
     f = rng.normal(size=n * stride)[::stride] * 10.0 ** rng.uniform(-20, 20, size=n)
     w = gl_weights(q, n + 1)
-    assert gl_weighted_sum(f, w) == _unblocked_sum(f, w)
+    assert gl_weighted_sum(f, w) == float(np.add.reduce(w[:n] * f))
 
 
-def test_sum_is_accurate_on_an_ill_conditioned_gl_sum():
+def test_level_sum_is_accurate_on_an_ill_conditioned_gl_sum():
     # D^1.9 t^0.9 sits on a pole of 1/gamma(p - q + 1): the GL sum cancels to
-    # far below its largest products, where a plain pairwise sum is wrong
+    # far below its largest products.  Centring the first HEAD samples on
+    # f0 is what removes that cancellation: the centred products are small,
+    # and the level sum is their plain sum plus f0 times the HEAD weights
     n = 500_001
     h = 2.0 / (n - 1)
     f = (2.0 - h * np.arange(n)) ** 0.9
     w = gl_weights(1.9, n)
-    want, bound = _fsum_bound(w, f)
-    assert math.fsum(np.abs(w * f).tolist()) > 1e12 * abs(want)
-    assert abs(gl_weighted_sum(f, w) - want) <= bound
+    centred = f.copy()
+    centred[:HEAD] -= f[0]
+    prods = w * centred
+    back = f[0] * math.fsum(w[:HEAD].tolist())
+    magnitude = math.fsum(np.abs(w * f).tolist())
+    assert magnitude > 1e12 * abs(math.fsum(prods.tolist()) + back)
+    assert math.fsum(np.abs(prods).tolist()) < 1e-3 * magnitude
+    total = gl_weighted_sum(centred, w)
+    assert gl_level_sums(1.9, f, [1]) == [total + back]
+    assert _matches_fsum(centred, w)
+
+
+# (p, q, x): GL sums of t^p on (0, x] of both signs of q, on and off a pole
+# of 1/gamma(p - q + 1)
+_EXACT_CASES = [(0.9, 1.9, 2.0), (1.5, -0.7, 2.0), (1.5, -1.3, 2.0), (2.2, 0.4, 2.0),
+                (1.5, 0.5, 1.0), (0.5, 1.5, 1.0), (3.0, -0.5, 1.5)]
+
+
+@pytest.mark.parametrize("p, q, x", _EXACT_CASES)
+def test_level_sum_is_about_as_far_from_the_exact_gl_sum_as_its_products(p, q, x):
+    # the exact GL sum of t^p at the nodes x - k x / n, with exact weights,
+    # at 40 digits: the products w_k f_k as rounded are off it by their
+    # samples' rounding and their weights' drift, and summing them adds at
+    # most as much again
+    n = 4001
+    t = x - x / n * np.arange(n)
+    f = t**p
+    w = gl_weights(q, n)
+    with mpmath.workdps(40):
+        wk, exact = mpmath.mpf(1), mpmath.mpf(0)
+        for k, tk in enumerate(t.tolist()):
+            if k:
+                wk *= (k - 1 - mpmath.mpf(q)) / k
+            exact += wk * mpmath.mpf(tk) ** p
+        got = abs(gl_level_sums(q, f, [1])[0] - exact)
+        data = abs(math.fsum((w * f).tolist()) - exact)
+    assert got <= 2 * data
 
 
 def test_dispatch_reports_a_backend():

@@ -26,7 +26,8 @@ from fracforms import (
     parse_expr,
     richardson,
 )
-from fracforms.kernels import BLOCK, gl_weights
+from fracforms import oracle
+from fracforms.kernels import BLOCK, gl_level_sums, gl_weights
 from fracforms.oracle import MIN_STEPS, freeze_all_but
 
 SQRT_PI = 1.7724538509055160
@@ -159,7 +160,8 @@ def test_both_sums_reject_an_order_that_is_not_finite(q):
 
 @pytest.mark.parametrize("f, q", [
     (lambda t: t, 171.5),  # the scale h^-q
-    (lambda t: 1e307 * t * t, -0.5),  # a partial sum, in math.fsum
+    (lambda t: 1e307 * t * t, -0.5),  # a block sum
+    (lambda t: 1.7e308 * np.sign(np.cos(3 * t)), 1.5),  # a product w_k f_k
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_both_sums_name_an_overflow(f, q):
@@ -170,6 +172,48 @@ def test_both_sums_name_an_overflow(f, q):
         with pytest.raises(QuadratureDomainError) as info:
             gl()
         assert str(info.value) == f"GL differintegral of order {q} at step {h} overflows a double"
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.5])
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_sum_or_scaled_level_is_named_without_a_warning(q):
+    # samples of +-1.7e308: at q = -0.5 a block sum overflows, and at q = 0.5
+    # the level sum and the scale h^-q each fit in a double but their
+    # product does not
+    def f(t):
+        return 1.7e308 * np.sign(np.cos(3 * t))
+
+    h = 1e-5
+    if q > 0:
+        total = gl_level_sums(q, f(2.0 - h * np.arange(200_001)), [1])[0]
+        assert math.isfinite(total) and math.isinf(total * h**-q)
+    with pytest.raises(QuadratureDomainError) as info:
+        gl_deriv(f, q, 2.0, 0.0, h)
+    assert str(info.value) == f"GL differintegral of order {q} at step {h} overflows a double"
+
+
+def test_a_grid_over_the_node_cap_is_refused_before_it_is_sampled(monkeypatch):
+    # _samples is replaced, so no call here allocates a grid: one at the cap
+    # reaches it, and one over the cap is refused before it
+    class Sampled(Exception):
+        pass
+
+    def samples(*args):
+        raise Sampled
+
+    monkeypatch.setattr(oracle, "_samples", samples)
+    cap = 1 << 27
+    h = 2.0 / (cap >> 4)  # 2^23 steps on (0, 2] at 5 levels: the cap
+    with pytest.raises(Sampled):
+        richardson(lambda t: t, 0.5, 2.0, 0.0, h, levels=5)
+    for gl in (lambda: richardson(lambda t: t, 0.5, 2.0, 0.0, h * (1 - 2**-40), levels=5),
+               lambda: gl_deriv(lambda t: t, 0.5, 2.0, 0.0, h / 32)):
+        with pytest.raises(ValueError, match=rf"exceeds the cap of {cap} nodes"):
+            gl()
+    with pytest.raises(ValueError) as info:
+        richardson(lambda t: t, 0.5, 2.0, 0.0, 1e-9, levels=5)
+    assert str(info.value) == (f"GL grid of 3.2e+10 nodes (2.56e+11 bytes of samples) at "
+                               f"step 1e-09 and 5 levels exceeds the cap of {cap} nodes")
 
 
 def test_richardson_takes_at_least_min_steps():
