@@ -21,11 +21,12 @@ from .symbolic import (
     Context,
     Expr,
     classical_derivative,
+    fmt_number,
     max_abs_coeff,
     monomial,
     shift_exponent,
 )
-from .tolerances import EXP_TOL, RESIDUAL_TOL
+from .tolerances import COEFF_DROP, EXP_TOL, RESIDUAL_TOL
 
 
 def kernel_basis_1d(nu: float, coord: int | str, ctx: Context) -> list[Expr]:
@@ -118,7 +119,8 @@ class ExactnessResult:
     status is one of "exact" (f holds the potential), "not_integrable"
     (residual/i/j hold the first closure witness of d^nu alpha, as
     ``is_closed`` reports it), or "unsupported" (reason names the term that
-    left the operator domain without a witness, or the order that is not
+    left the operator domain without a witness, the coordinate and order of
+    a potential term below the drop threshold, or the order that is not
     positive).
     """
 
@@ -149,7 +151,10 @@ def solve_exact(alpha: Form, nu: float, ctx: Context) -> ExactnessResult:
     after a term leaves the operator domain, gives "not_integrable" with the
     first witness of is_closed(gamma), the one ``frac closed`` prints.  A
     domain failure without a witness, or nu <= 0, is "unsupported" and says
-    why.
+    why.  So is a closed leftover after a step whose part has fewer terms
+    than its gamma_c: a potential coefficient below ``COEFF_DROP`` (at
+    ``d(x1,15.5)``, 1/gamma(16.5) = 2.7e-13) is dropped, so the homotopy
+    cannot remove that term.
     """
     nu = float(nu)
     if nu <= EXP_TOL:
@@ -158,10 +163,13 @@ def solve_exact(alpha: Form, nu: float, ctx: Context) -> ExactnessResult:
     if not alpha.has_order(nu):
         raise ValueError(f"form order {order} does not match requested order {nu}")
 
-    gamma, f, failure = alpha, Expr.zero(ctx.n), None
+    gamma, f, failure, erased = alpha, Expr.zero(ctx.n), None, None
     try:
         for c in range(ctx.n):  # component raises unless alpha is a grade-1 form
-            part = rl_integ(gamma.component(c, ctx.n), c, order, ctx)
+            gamma_c = gamma.component(c, ctx.n)
+            part = rl_integ(gamma_c, c, order, ctx)
+            if erased is None and len(part.coeffs) < len(gamma_c.coeffs):
+                erased = c  # a coefficient of the part fell below COEFF_DROP
             f = f + part
             gamma = gamma - frac_exterior_deriv(part, order, ctx)
     except ExponentDomainError as exc:
@@ -178,5 +186,9 @@ def solve_exact(alpha: Form, nu: float, ctx: Context) -> ExactnessResult:
         return ExactnessResult("not_integrable", residual=res, i=i, j=j)
     if failure is not None:
         return ExactnessResult("unsupported", reason=failure)
+    if erased is not None:
+        return ExactnessResult("unsupported", reason=(
+            f"D^-{fmt_number(order)} along {ctx.names[erased]} gives a potential term whose "
+            f"coefficient is below the drop threshold {COEFF_DROP:g}, so the term is lost"))
     raise VerificationError("d^nu f leaves a residue of a closed form; "
                             "this signals an internal inconsistency")

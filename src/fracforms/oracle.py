@@ -44,12 +44,15 @@ at a time, each node once: the nodes x - h k are computed into the block of
 the sample array that f's values then overwrite.  The weights come a block
 at a time too, and each weight block is used at once by every level that
 reaches it, so the weights, f's temporaries and the kernel's buffers are
-all block-sized.  Only the sample at t = a may be non-finite.  A block
-whose sum is finite holds no non-finite sample; otherwise its samples are
-scanned, a non-finite one stops the sampling at its block, and the error
-names the first such node.  :func:`expr_evaluable` builds each term's
-values in place, in the order of the plain formula, so f itself allocates
-few block-sized temporaries.
+all block-sized.  Only the sample at t = a may be non-finite.  Sampling
+runs to the end of the grid with no check of its own: a non-finite sample
+makes its fine-level block sum non-finite, since its product with any
+weight, an exact zero of a whole order included, is not finite.  So the
+samples are scanned only when a sum overflows, and then the first
+non-finite node is named before the overflow would be.
+:func:`expr_evaluable` builds each term's values in place, in the order of
+the plain formula (its sum starts at the first term), so f itself
+allocates few block-sized temporaries.
 """
 
 from __future__ import annotations
@@ -73,6 +76,21 @@ MIN_STEPS = 10
 _MAX_NODES = 1 << 27
 
 
+def _on_array(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray | None:
+    """f(nodes) as a float64 array, or None when f does not take the array:
+    the call raises (a ``QuadratureDomainError`` propagates) or returns
+    another shape.  The one test of a vectorized callable, here and in the
+    central differences of :mod:`fracforms.charts`."""
+    try:
+        with np.errstate(all="ignore"):
+            vals = np.asarray(f(nodes), dtype=np.float64)
+    except QuadratureDomainError:
+        raise
+    except Exception:
+        return None
+    return vals if vals.shape == nodes.shape else None
+
+
 def _sample(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
     """Evaluate f on the node array, vectorized when the callable allows it.
 
@@ -81,22 +99,16 @@ def _sample(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndar
     complex, which ``float`` rejects) samples as nan; any other exception
     propagates.
     """
-    try:
-        with np.errstate(all="ignore"):
-            vals = np.asarray(f(nodes), dtype=np.float64)
-        if vals.shape != nodes.shape:
-            raise ValueError
+    vals = _on_array(f, nodes)
+    if vals is not None:
         return vals
-    except QuadratureDomainError:
-        raise
-    except Exception:
-        out = np.empty(nodes.shape[0], dtype=np.float64)
-        for i, t in enumerate(nodes):
-            try:
-                out[i] = float(f(float(t)))
-            except (ArithmeticError, ValueError, TypeError):
-                out[i] = np.nan
-        return out
+    out = np.empty(nodes.shape[0], dtype=np.float64)
+    for i, t in enumerate(nodes):
+        try:
+            out[i] = float(f(float(t)))
+        except (ArithmeticError, ValueError, TypeError):
+            out[i] = np.nan
+    return out
 
 
 def _gl_levels(f, q: float, x: float, a: float, steps: int, levels: int) -> list[float]:
@@ -104,7 +116,10 @@ def _gl_levels(f, q: float, x: float, a: float, steps: int, levels: int) -> list
 
     f is sampled once on the finest grid; level lvl takes every
     2^(levels-1-lvl)-th sample, so every level ends on the node t = a and
-    drops it alike when f is singular there.
+    drops it alike when f is singular there.  The samples are scanned only
+    when a sum overflows: a non-finite sample always makes its fine-level
+    block sum non-finite (its product with a weight, zero or not, is), so
+    the first such node is named before an overflow would be reported.
     """
     fine = steps << (levels - 1)
     h = (x - a) / fine
@@ -117,6 +132,11 @@ def _gl_levels(f, q: float, x: float, a: float, steps: int, levels: int) -> list
             return scaled
     except OverflowError:  # a block sum, or the scale step^-order
         pass
+    # the sample at t = a is dropped by now if it is not finite: any other is undefined
+    ok = np.isfinite(vals)
+    if not ok.all():
+        raise QuadratureDomainError(
+            f"integrand undefined at sample node t={x - h * int(np.argmin(ok))}")
     # an overflow above, or a finite sum times a finite scale beyond the largest double
     raise QuadratureDomainError(f"GL differintegral of order {q} at step {h} overflows a double")
 
@@ -124,8 +144,10 @@ def _gl_levels(f, q: float, x: float, a: float, steps: int, levels: int) -> list
 def _samples(f, x: float, h: float, fine: int) -> np.ndarray:
     """f at the nodes x - h k, k = 0 ... fine, a block of nodes at a time.
 
-    The last node, t = a, is left out when f is not finite there; a
-    non-finite sample anywhere else is an error that names the first one.
+    The last node, t = a, is left out when f is not finite there.  Nothing
+    else is checked here: sampling runs to the end of the grid, and
+    :func:`_gl_levels` scans the samples for a non-finite one only when a
+    sum overflows.
 
     The block-sized node counter dies on return, before the kernel
     allocates its buffers, so glibc reuses its memory for them.  Held
@@ -135,10 +157,9 @@ def _samples(f, x: float, h: float, fine: int) -> np.ndarray:
     """
     vals = np.empty(fine + 1, dtype=np.float64)
     k = np.arange(min(fine + 1, BLOCK), dtype=np.float64)
-    # the probe's sum may overflow on finite samples, and f's own overflow or
-    # invalid warnings are silenced here too, node-by-node calls included:
-    # the scan names a non-finite sample, and one at t = a is dropped on
-    # return as the initial point's singularity
+    # f's own overflow or invalid warnings are silenced, node-by-node calls
+    # included: a non-finite sample is named by the scan, and one at t = a
+    # is dropped on return as the initial point's singularity
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, fine + 1, BLOCK):
             if lo:
@@ -148,15 +169,6 @@ def _samples(f, x: float, h: float, fine: int) -> np.ndarray:
             np.multiply(h, k[:blk.shape[0]], blk)
             np.subtract(x, blk, blk)
             blk[...] = _sample(f, blk)
-            # every node but t = a must be finite: one reduction is finite only
-            # when every sample is, and the exact scan runs only when it is not
-            inner = vals[lo:min(lo + BLOCK, fine)]
-            if not math.isfinite(np.add.reduce(inner)):
-                ok = np.isfinite(inner)
-                if not ok.all():
-                    j = lo + int(np.argmin(ok))
-                    raise QuadratureDomainError(
-                        f"integrand undefined at sample node t={x - h * j}")
     # f may be singular at the initial point only; the sums start at a + h then
     return vals if math.isfinite(vals[fine]) else vals[:fine]
 
@@ -283,14 +295,16 @@ def expr_evaluable(e: Expr, ctx: Context) -> Callable:
     def f(pt):
         bases = [np.asarray(pt[i], dtype=np.float64) for i in range(len(a))]
         bases = [b if ai is None else b - ai for b, ai in zip(bases, a)]
-        total = 0.0
+        total = None  # the first term, then the sum of the terms so far
         with np.errstate(all="ignore"):
             for c, exps in terms:
                 v = np.float64(c)
                 for base, p in zip(bases, exps):
                     if p != 0.0:
                         v = _into(operator.mul, v, np.power(base, p))
-                total = _into(operator.add, total, v)
+                total = v if total is None else _into(operator.add, total, v)
+        if total is None:  # no terms
+            total = 0.0
         if type(total) is not np.ndarray:  # constant along every array coordinate
             shape = np.broadcast(*bases).shape
             total = np.full(shape, total) if shape else total

@@ -429,6 +429,26 @@ def test_domain_failure_is_unsupported():
     assert "-1.4 on x" in result.reason
 
 
+@pytest.mark.parametrize("order", ["15.5", "1000000"])
+def test_a_potential_term_below_the_drop_threshold_is_unsupported(order):
+    # D^-nu of 1 along x is x^nu / gamma(nu + 1): 2.7e-13 at 15.5, below
+    # COEFF_DROP, and 0.0 at 1e6, so the part comes back empty and the
+    # homotopy leaves gamma = alpha, a closed residue
+    alpha = parse_form(f"d(x,{order})", X1)
+    assert len(rl_integ(alpha.component(0, 1), 0, float(order), X1).coeffs) == 0
+    result = solve_exact(alpha, float(order), X1)
+    assert result.status == "unsupported"
+    assert result.reason == (f"D^-{order} along x gives a potential term whose coefficient "
+                             "is below the drop threshold 1e-12, so the term is lost")
+
+
+def test_a_potential_term_just_above_the_drop_threshold_is_exact():
+    # 1/gamma(15.5) = 2.99e-12 is kept
+    result = solve_exact(parse_form("d(x,14.5)", X1), 14.5, X1)
+    assert result.status == "exact"
+    assert result.f.coeffs.tolist() == [pytest.approx(1.0 / math.gamma(15.5), rel=1e-14)]
+
+
 @st.composite
 def potentials(draw):
     """(f, nu, ctx): a 1-3 term potential in the domain over 1-4 coordinates,

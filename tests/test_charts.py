@@ -37,7 +37,10 @@ from fracforms import (
     transform_form,
 )
 from fracforms import symbolic
+from fracforms import charts
 from fracforms.charts import format_matrix, polar_radial_closed_form
+from fracforms.oracle import richardson_table
+from fracforms.specialfn import rgamma
 
 X1 = Context.of(("x",))
 XY = Context.of(("x1", "x2"))
@@ -308,6 +311,92 @@ def test_numeric_entry_domain_error_names_the_chart_entry_and_order():
     assert str(info.value) == ("chart 'affine:1,2;3,4~rev', entry (k=0, i=0) along x1 "
                                "at order 0.5: integrand undefined at sample node t=3.6665")
     assert isinstance(info.value.__cause__, QuadratureDomainError)
+
+
+@pytest.mark.parametrize("order, points", [(1.0, 2 * 4), (2.0, 3 * 4), (3.0, 4 * 3)])
+def test_a_whole_order_entry_calls_its_integrand_once(order, points):
+    # x = e^y: the entry is d^m/dy^m e^(m y) / m! = m^m e^(m y) / m!
+    shapes = []
+
+    def x_of(y):
+        shapes.append(np.shape(y[0]))
+        return np.exp(y[0])
+
+    chart = Chart("exp", Context.of(("x",)), Context.of(("y",)), (x_of,),
+                  (lambda x: np.log(x[0]),))
+    J = jacobian(chart, order, (0.7,))
+    assert shapes == [(points,)]  # every level's stencil points in one array
+    m = int(order)
+    assert J.entries[0][0] == pytest.approx(m ** m * math.exp(0.7 * m) / math.factorial(m),
+                                            rel=1e-8)
+
+
+def _pointwise_entries(chart, nu, point):
+    """Whole-order numeric entries from the plain formula, point by point:
+    the central differences of charts._central_derivative over
+    (x_k(y) - a_k)^m, each sample a scalar call of the map and a scalar
+    power."""
+    m = int(nu)
+    a = chart.ctx_x.initial_points
+    h0, levels = (1e-2, 4) if m < 3 else (5e-2, 3)
+    rows = []
+    for k in range(chart.n):
+        row = []
+        for i in range(chart.n):
+            def g(t):
+                y = [np.float64(v) for v in point]
+                y[i] = t
+                return 1.0 * (np.asarray(chart.forward[k](y), dtype=np.float64) - a[k]) ** m
+
+            diffs = [math.fsum(w * g(point[i] + s * h) for s, w in charts._STENCILS[m]) / h ** m
+                     for h in (h0 / 2.0 ** lvl for lvl in range(levels))]
+            row.append(richardson_table(diffs, (2, 4, 6))[-1][-1] * rgamma(nu + 1.0))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _scalar_polar(*forward):
+    """A polar chart whose maps take scalars only: math.cos of an array, or
+    float of one, raises TypeError."""
+    ctx_x, ctx_y = Context.of(("x1", "x2")), Context.of(("r", "theta"))
+    inverse = (lambda x: math.hypot(x[0], x[1]), lambda x: math.atan2(x[1], x[0]))
+    return Chart("scalar-polar", ctx_x, ctx_y, forward or (
+        lambda y: float(y[0]) * math.cos(y[1]),
+        lambda y: float(y[0]) * math.sin(y[1])), inverse)
+
+
+@pytest.mark.parametrize("order", [1.0, 2.0, 3.0])
+def test_scalar_only_maps_are_called_point_by_point(order):
+    chart, point = _scalar_polar(), (1.3, 0.6)
+    got = jacobian(chart, order, point).entries
+    assert got == _pointwise_entries(chart, order, point)  # bit for bit
+    # and they are the polar chart's classical derivatives
+    want = jacobian(get_chart("polar"), order, point).entries
+    assert np.allclose(got, want, rtol=1e-8, atol=1e-8)
+
+
+def test_a_scalar_only_map_that_raises_propagates():
+    # math.sqrt of a negative scalar raises ValueError, of an array TypeError
+    chart = _scalar_polar(lambda y: math.sqrt(y[0] - 5.0), lambda y: float(y[0]) * math.sin(y[1]))
+    with pytest.raises(ValueError, match="math domain error"):
+        jacobian(chart, 1.0, (1.3, 0.6))
+
+
+def test_numeric_entries_read_the_maps_from_the_x_initial_points():
+    # x = (2 y1 + 0.5, 3 y2 - 1) about a = (0.5, -1) is scale:2,3 shifted.
+    # Each map ignores one coordinate, so on that coordinate's array it
+    # returns a scalar, and those whole-order entries are taken point by point
+    ctx_x, ctx_y = Context.of(("x1", "x2"), (0.5, -1.0)), Context.of(("y1", "y2"))
+    chart = Chart("shifted", ctx_x, ctx_y,
+                  (lambda y: 2.0 * y[0] + 0.5, lambda y: 3.0 * y[1] - 1.0),
+                  (lambda x: (x[0] - 0.5) / 2.0, lambda x: (x[1] + 1.0) / 3.0))
+    scale, point = get_chart("scale:2,3").black_box(), (1.2, 0.7)
+    for nu in (1.0, 2.0, 0.5):
+        got = jacobian(chart, nu, point).as_array()
+        assert np.allclose(got, jacobian(scale, nu, point).as_array(), rtol=1e-8, atol=1e-8)
+    got = jacobian(chart, 1.0, point).entries
+    assert got[0][1] == got[1][0] == 0.0
+    assert got == _pointwise_entries(chart, 1.0, point)
 
 
 def test_numeric_mode_matches_symbolic_for_scaling():

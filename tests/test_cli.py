@@ -306,6 +306,23 @@ def test_exact_unsupported_order_exits_4(capsys):
     assert "unrecognized arguments: --order 1.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", ["15.5", "1000000"])
+def test_exact_with_a_potential_term_below_the_drop_threshold_exits_4(capsys, order):
+    # the potential's coefficient 1/gamma(order + 1) is below COEFF_DROP: an
+    # unsupported form, not an internal inconsistency
+    code, out, err = run(capsys, "exact", f"d(x1,{order})")
+    assert code == 4
+    assert out == ""
+    assert err.startswith(f"unsupported: D^-{order} along x1 ")
+    assert "drop threshold 1e-12" in err
+
+
+def test_exact_just_above_the_drop_threshold(capsys):
+    code, out, _ = run(capsys, "exact", "d(x1,14.5)", "--json")
+    assert code == 0
+    assert json.loads(out)["status"] == "exact"
+
+
 def test_exact_and_closed_agree_at_shifted_initial_points(capsys):
     # the literal and f are read in x_i - a_i: f is (x1-1)^2*x2
     form = "2*x1*x2 d(x1,1) + x1^2 d(x2,1)"

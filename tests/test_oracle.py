@@ -398,6 +398,55 @@ def test_first_bad_node_in_a_later_block_is_named():
     assert str(exc.value) == f"integrand undefined at sample node t={x - h * firsts[0]}"
 
 
+def _undefined_at(x, h, bad, value=np.nan, elsewhere=lambda t: np.asarray(t) ** 0.5):
+    """An integrand equal to ``value`` at the nodes x - h k, k in ``bad``."""
+    bad_nodes = x - h * np.array(bad, dtype=np.float64)
+    return lambda t: np.where(np.isin(t, bad_nodes), value, elsewhere(t))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k", [2, 20, BLOCK + 3])
+def test_an_undefined_sample_under_a_zero_weight_is_named(k, value):
+    # at q = 1 every weight from k = 2 on is an exact zero, and 0 * nan and
+    # 0 * inf are nan: the block sum is not finite, so the scan runs
+    x, h = 2.0, 2.0 / (2 * BLOCK + 10)
+    assert gl_weights(1.0, 3).tolist() == [1.0, -1.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureDomainError) as exc:
+            gl_deriv(_undefined_at(x, h, [k], value), 1.0, x, 0.0, h=h)
+    assert str(exc.value) == f"integrand undefined at sample node t={x - h * k}"
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.9])
+def test_an_undefined_sample_at_the_point_is_named(q):
+    # t = x is f0 of the HEAD centring: every head sample becomes f - nan
+    x, h = 2.0, 1e-4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureDomainError) as exc:
+            richardson(_undefined_at(x, h / 4, [0]), q, x, 0.0, h0=h, levels=3)
+    assert str(exc.value) == f"integrand undefined at sample node t={x}"
+
+
+@pytest.mark.parametrize("q", [-0.5, 171.5])
+def test_an_undefined_sample_wins_over_an_overflow(q):
+    # q = -0.5: the first block sums past the largest double before the bad
+    # node's block; q = 171.5: the scale step^-q overflows
+    fine = 3 * BLOCK + 10
+    x, h = 2.0, 2.0 / fine
+    first = 2 * BLOCK + 5
+    f = _undefined_at(x, h, [first, first + 1], elsewhere=lambda t: np.full(np.shape(t), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureDomainError) as exc:
+            gl_deriv(f, q, x, 0.0, h=h)
+        # the same grid with every sample defined is the overflow
+        with pytest.raises(QuadratureDomainError, match=f"GL differintegral of order {q} at step"):
+            gl_deriv(lambda t: np.full(np.shape(t), 1e308), q, x, 0.0, h=h)
+    assert str(exc.value) == f"integrand undefined at sample node t={x - h * first}"
+
+
 def test_richardson_peak_memory_is_bounded_on_a_fine_grid():
     # 3 200 001 nodes: the samples are the only full-length array; the
     # weights, f's temporaries and the kernel's buffers are blocks
@@ -485,18 +534,20 @@ def test_constant_exprs_evaluate_on_the_whole_node_array():
 def _evaluable_reference(e, ctx, pt):
     """The plain formula expr_evaluable computes: for each term in order,
     c times the product of (x_i - a_i)^p over p != 0, added to a sum that
-    starts at 0.0.  A sum that no array coordinate enters is broadcast to
-    the coordinates' shape."""
+    starts at the first term (0.0 when there is none).  A sum that no array
+    coordinate enters is broadcast to the coordinates' shape."""
     a = np.asarray(ctx.initial_points, dtype=np.float64)
     bases = [np.asarray(pt[i], dtype=np.float64) - a[i] for i in range(ctx.n)]
-    total = 0.0
+    total = None
     with np.errstate(all="ignore"):
         for c, exps in zip(e.coeffs.tolist(), e.exponents.tolist()):
             v = np.float64(c)
             for base, p in zip(bases, exps):
                 if p != 0.0:
                     v = v * np.power(base, p)
-            total = total + v
+            total = v if total is None else total + v
+    if total is None:  # Expr dropped every coefficient
+        total = 0.0
     shape = np.broadcast_shapes(*(b.shape for b in bases))
     return np.full(shape, total) if shape and np.ndim(total) == 0 else total
 
