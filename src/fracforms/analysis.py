@@ -10,13 +10,12 @@ point, read as powers of x_i - a_i.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .errors import ExponentDomainError, VerificationError
 from .forms import Form, frac_exterior_deriv
 from .rl import rl_deriv, rl_integ
-from .specialfn import whole_ceil
+from .specialfn import positive, whole_ceil
 from .symbolic import (
     Context,
     Expr,
@@ -32,9 +31,7 @@ from .tolerances import COEFF_DROP, EXP_TOL, RESIDUAL_TOL
 def kernel_basis_1d(nu: float, coord: int | str, ctx: Context) -> list[Expr]:
     """Basis {x^(nu-m+k) : k < m} of the order-nu derivative kernel in one
     coordinate, m the ceiling whole order."""
-    nu = float(nu)
-    if not 0 < nu < math.inf:
-        raise ValueError(f"kernel order must be positive and finite, got {nu}")
+    nu = positive(nu, "kernel order")
     coord = ctx.index(coord)
     m = whole_ceil(nu)
     return [monomial(ctx, 1.0, {coord: nu - m + k}) for k in range(m)]
@@ -46,9 +43,7 @@ def kernel_basis_dv(nu: float, ctx: Context) -> list[Expr]:
     Elements are (prod_i x_i)^(nu-m) * prod_i x_i^(k_i) with every k_i
     ranging over 0..m-1, so the basis has m^n elements.
     """
-    nu = float(nu)
-    if not 0 < nu < math.inf:
-        raise ValueError(f"kernel order must be positive and finite, got {nu}")
+    nu = positive(nu, "kernel order")
     m = whole_ceil(nu)
     out = []
     for ks in itertools.product(range(m), repeat=ctx.n):
@@ -146,17 +141,19 @@ def solve_exact(alpha: Form, nu: float, ctx: Context) -> ExactnessResult:
     point; on powers of x_c - a_c, D_c^nu D_c^(-nu) is the identity and
     partials along different coordinates commute, so the leftover
     gamma = alpha - d^nu f, the round trip, vanishes exactly when alpha is
-    closed.  Everything runs at the form's order, which nu must match within
-    EXP_TOL.  A leftover word above ``RESIDUAL_TOL``, or a closure witness
-    after a term leaves the operator domain, gives "not_integrable" with the
-    first witness of is_closed(gamma), the one ``frac closed`` prints.  A
-    domain failure without a witness, or nu <= 0, is "unsupported" and says
-    why.  So is a closed leftover after a step whose part has fewer terms
-    than its gamma_c: a potential coefficient below ``COEFF_DROP`` (at
-    ``d(x1,15.5)``, 1/gamma(16.5) = 2.7e-13) is dropped, so the homotopy
-    cannot remove that term.
+    closed.  A form of another grade is a ``ValueError``, asked first, as
+    :func:`is_closed` asks it.  Everything runs at the form's order, which
+    nu must match within EXP_TOL.  A leftover word above ``RESIDUAL_TOL``,
+    or a closure witness after a term leaves the operator domain, gives
+    "not_integrable" with the first witness of is_closed(gamma), the one
+    ``frac closed`` prints.  A domain failure without a witness, or nu <= 0,
+    is "unsupported" and says why.  So is a closed leftover after a step
+    whose part has fewer terms than its gamma_c: a potential coefficient
+    below ``COEFF_DROP`` (at ``d(x1,15.5)``, 1/gamma(16.5) = 2.7e-13) is
+    dropped, so the homotopy cannot remove that term.
     """
     nu = float(nu)
+    alpha.component(0, ctx.n)  # raises unless alpha is a grade-1 form, as in is_closed
     if nu <= EXP_TOL:
         return ExactnessResult("unsupported", reason="order must be positive")
     order = alpha.total_order
@@ -165,7 +162,7 @@ def solve_exact(alpha: Form, nu: float, ctx: Context) -> ExactnessResult:
 
     gamma, f, failure, erased = alpha, Expr.zero(ctx.n), None, None
     try:
-        for c in range(ctx.n):  # component raises unless alpha is a grade-1 form
+        for c in range(ctx.n):
             gamma_c = gamma.component(c, ctx.n)
             part = rl_integ(gamma_c, c, order, ctx)
             if erased is None and len(part.coeffs) < len(gamma_c.coeffs):

@@ -24,7 +24,9 @@ Expr chart are a property of the chart, not a flag: :meth:`Chart.black_box`
 (the CLI's ``--numeric``) evaluates its maps as black boxes.  A
 :class:`ChartMatrix` derives ``mode`` ("numeric" exactly when it has a
 ``point``) and ``m`` from its fields.  :func:`transform_form` raises the maps
-to powers with :meth:`Expr.pow`, which expands whole powers of multi-term maps.
+to powers with :meth:`Expr.pow`, which expands whole powers of multi-term maps;
+the symbolic entries and the pullback both take the maps shifted by the x
+initial points from :func:`_shifted_maps`, once per call.
 
 For n >= 2 and non-whole nu the product over j != k does not drop out of the
 derivation, so the forward and reverse matrices need not be inverse to each
@@ -43,9 +45,16 @@ import numpy as np
 
 from .errors import NegativeQuadraticFormError, QuadratureDomainError, UnsupportedError
 from .forms import DiffFactor, Form, WedgeWord
-from .oracle import _on_array, expr_evaluable, freeze_all_but, richardson, richardson_table
+from .oracle import (
+    _offsets,
+    _on_array,
+    expr_evaluable,
+    freeze_all_but,
+    richardson,
+    richardson_table,
+)
 from .rl import power_rule_map
-from .specialfn import gamma_ratio, rgamma, snap_int, whole_ceil
+from .specialfn import gamma_ratio, positive, rgamma, snap_int, whole_ceil
 from .symbolic import (
     Context,
     Expr,
@@ -122,16 +131,35 @@ def _call(f: Evaluable, ctx: Context, point: Sequence[float]) -> float:
 
 # --- registry ----------------------------------------------------------------
 
-def _grid_contexts(n: int) -> tuple[Context, Context]:
-    return (Context.of(tuple(f"x{i+1}" for i in range(n))),
-            Context.of(tuple(f"y{i+1}" for i in range(n))))
+def _linear_chart(name: str, m: list[list[float]], minv: list[list[float]]) -> Chart:
+    """The chart x = M y over x1..xk and y1..yk, from the rows of M and of
+    its inverse as given: each map is the sum of its row's nonzero entries
+    times their coordinates, so a diagonal M has one-term maps."""
+    k = len(m)
+    ctx_x = Context.of(tuple(f"x{i+1}" for i in range(k)))
+    ctx_y = Context.of(tuple(f"y{i+1}" for i in range(k)))
+    unit = _diagonal([1.0] * k)
+
+    def maps(rows):
+        return tuple(Expr.make([(c, unit[j]) for j, c in enumerate(row) if c], k)
+                     for row in rows)
+
+    return Chart(name, ctx_x, ctx_y, maps(m), maps(minv))
+
+
+def _diagonal(cs: list[float]) -> list[list[float]]:
+    """The rows of the diagonal matrix of ``cs``."""
+    return [[c if i == j else 0.0 for j in range(len(cs))] for i, c in enumerate(cs)]
 
 
 def get_chart(spec: str, n: int | None = None) -> Chart:
     """Build a chart from its registry spec.
 
-    Specs: ``polar``, ``identity``, ``scale:c1,...,cn``, and
-    ``affine:a11,a12;a21,a22`` (rows separated by semicolons).
+    Specs: ``polar``, and the linear charts x = M y: ``identity`` (n
+    coordinates, 2 by default), ``scale:c1,...,cn`` (M diagonal) and
+    ``affine:a11,a12;a21,a22`` (M by rows separated by semicolons).  A
+    linear chart's inverse maps take M's inverse as written: the identity
+    itself, 1/c_i for a scale chart, and ``np.linalg.inv`` for an affine one.
     """
     head, _, arg = spec.partition(":")
     head = head.strip()
@@ -142,11 +170,8 @@ def get_chart(spec: str, n: int | None = None) -> Chart:
         inv = (lambda x: np.hypot(x[0], x[1]), lambda x: np.arctan2(x[1], x[0]))
         chart = Chart("polar", ctx_x, ctx_y, fwd, inv)
     elif head == "identity":
-        n = n or 2
-        ctx_x, ctx_y = _grid_contexts(n)
-        fwd = tuple(monomial(ctx_y, 1.0, {i: 1.0}) for i in range(n))
-        inv = tuple(monomial(ctx_x, 1.0, {i: 1.0}) for i in range(n))
-        chart = Chart("identity", ctx_x, ctx_y, fwd, inv)
+        unit = _diagonal([1.0] * (n or 2))
+        chart = _linear_chart("identity", unit, unit)
     elif head == "scale":
         try:
             cs = [float(v) for v in arg.split(",")] if arg else []
@@ -154,10 +179,7 @@ def get_chart(spec: str, n: int | None = None) -> Chart:
             raise ValueError(f"bad scale factors in chart spec {spec!r}") from None
         if not cs or any(c == 0 for c in cs):
             raise ValueError(f"scale chart needs nonzero factors, got {spec!r}")
-        ctx_x, ctx_y = _grid_contexts(len(cs))
-        fwd = tuple(monomial(ctx_y, c, {i: 1.0}) for i, c in enumerate(cs))
-        inv = tuple(monomial(ctx_x, 1.0 / c, {i: 1.0}) for i, c in enumerate(cs))
-        chart = Chart(spec, ctx_x, ctx_y, fwd, inv)
+        chart = _linear_chart(spec, _diagonal(cs), _diagonal([1.0 / c for c in cs]))
     elif head == "affine":
         try:
             mat = [[float(v) for v in row.split(",")] for row in arg.split(";")]
@@ -169,12 +191,7 @@ def get_chart(spec: str, n: int | None = None) -> Chart:
         cond = np.linalg.cond(m)
         if not cond < 1.0 / np.finfo(np.float64).eps:
             raise ValueError(f"affine chart matrix is singular (condition number {cond:.3g})")
-        minv = np.linalg.inv(m)
-        k = m.shape[0]
-        ctx_x, ctx_y = _grid_contexts(k)
-        fwd = tuple(Expr(row, np.eye(k), k) for row in m)
-        inv = tuple(Expr(row, np.eye(k), k) for row in minv)
-        chart = Chart(spec, ctx_x, ctx_y, fwd, inv)
+        chart = _linear_chart(spec, m.tolist(), np.linalg.inv(m).tolist())
     else:
         raise ValueError(f"unknown chart {spec!r} "
                          "(available: polar, identity, scale:..., affine:...)")
@@ -191,9 +208,7 @@ def alpha_k(k: int | str, nu: float, ctx: Context) -> Expr:
     along k it differentiates to the product over i != k alone (exactly 1
     when n = 1 or nu is whole).
     """
-    nu = float(nu)
-    if not 0 < nu < math.inf:
-        raise ValueError(f"alpha_k order must be positive and finite, got {nu}")
+    nu = positive(nu, "alpha_k order")
     return monomial(ctx, rgamma(nu + 1.0), dict(_kernel_powers(ctx.index(k), nu, ctx.n)))
 
 
@@ -254,10 +269,7 @@ def _integrand_numeric(chart: Chart, k: int, nu: float) -> Callable:
     through :func:`oracle.expr_evaluable` instead took ``charts_transform``
     p90 from 1.49 to 1.61 ms (4-5 alternating 20 s benchmark pairs at seed
     3, 2-vCPU Xeon, numpy 2.4.6)."""
-    # None where a_j = +0.0: x - 0.0 is x, so the subtraction is skipped, as
-    # in oracle.expr_evaluable
-    a = [ai if ai or math.copysign(1.0, ai) < 0 else None
-         for ai in chart.ctx_x.initial_points]
+    a = _offsets(chart.ctx_x.initial_points)
     maps = chart.forward
     powers = _kernel_powers(k, nu, chart.n)
 
@@ -343,13 +355,19 @@ def format_matrix(rows, digits: int = 10) -> str:
         for row in rows) + "]"
 
 
+def _shifted_maps(chart: Chart) -> list[Expr]:
+    """The forward maps shifted by the x initial points, x_j(y) - a_j: the
+    bases of every power of a map in a symbolic entry or a pullback."""
+    return [f + Expr.constant(-a, chart.n)
+            for f, a in zip(chart.forward, chart.ctx_x.initial_points)]
+
+
 def _symbolic_entries(chart: Chart, nu: float) -> tuple:
-    a = chart.ctx_x.initial_points
+    maps = _shifted_maps(chart)
     rows = []
     for k in range(chart.n):
         integrand = functools.reduce(operator.mul, (
-            (chart.forward[j] + Expr.constant(-a[j], chart.n)).pow(p)
-            for j, p in _kernel_powers(k, nu, chart.n)))
+            maps[j].pow(p) for j, p in _kernel_powers(k, nu, chart.n)))
         rows.append(tuple(
             power_rule_map(integrand, i, nu, chart.ctx_y,
                            extra_denominators=(nu + 1.0,))
@@ -394,9 +412,7 @@ def jacobian(chart: Chart, nu: float, point: Sequence[float] | None = None,
     ...)`` takes numeric entries of an Expr chart.  An order that
     :func:`~fracforms.specialfn.snap_int` snaps to a whole k is taken as k.
     """
-    nu = float(nu)
-    if not 0 < nu < math.inf:
-        raise ValueError(f"jacobian order must be positive and finite, got {nu}")
+    nu = positive(nu, "jacobian order")
     whole = snap_int(nu)
     if whole is not None:
         nu = float(whole)
@@ -434,16 +450,17 @@ def polar_radial_closed_form(k: int, nu: float, r: float, theta: float) -> float
 
 # --- applying the matrix -------------------------------------------------------
 
-def _compose_monomial(e: Expr, chart: Chart) -> Expr:
-    """Substitute the forward maps into a power product; each power of a
-    shifted map x_j(y) - a_j is whatever :meth:`Expr.pow` makes of it."""
-    a = chart.ctx_x.initial_points
-    out = Expr.zero(chart.n)
+def _compose_monomial(e: Expr, maps: Sequence[Expr]) -> Expr:
+    """Substitute the shifted forward maps x_j(y) - a_j (:func:`_shifted_maps`)
+    into a power product; each power of a map is whatever :meth:`Expr.pow`
+    makes of it."""
+    n = len(maps)
+    out = Expr.zero(n)
     for c, exps in zip(e.coeffs.tolist(), e.exponents.tolist()):
-        acc = Expr.constant(c, chart.n)
+        acc = Expr.constant(c, n)
         for j, p in enumerate(exps):
             if p:  # canonical exponents snap to 0 near 0
-                acc = acc * (chart.forward[j] + Expr.constant(-a[j], chart.n)).pow(p)
+                acc = acc * maps[j].pow(p)
         out = out + acc
     return out
 
@@ -464,7 +481,8 @@ def transform_form(A: Form, J: JacobianMatrix) -> Form:
         x_pt = chart.x_of(J.point)
         comps = [eval_expr(c, chart.ctx_x, x_pt) for c in comps]
     else:
-        comps = [_compose_monomial(c, chart) for c in comps]
+        maps = _shifted_maps(chart)
+        comps = [_compose_monomial(c, maps) for c in comps]
     coeffs = [_dot(comps, column, chart.n) for column in zip(*J.entries)]
     return Form(1, nu, [(WedgeWord((DiffFactor(i, nu),)),
                          c if isinstance(c, Expr) else Expr.constant(c, chart.n))

@@ -109,22 +109,23 @@ def _emit(args, text_lines, payload) -> None:
 # --- expression verbs --------------------------------------------------------
 
 
-def cmd_deriv(args) -> int:
+def _differintegral(args, operator, signed_order: float) -> int:
+    """``operator`` (rl_deriv or rl_integ) of the expression at --order along
+    --var; the JSON ``order`` is ``signed_order``, negative for an integral."""
     ctx = _context(args, args.expr)
     e = parse_expr(args.expr, ctx)
-    out = rl_deriv(e, args.var, args.order, ctx)
+    out = operator(e, args.var, args.order, ctx)
     _emit(args, [print_expr(out, ctx, DIGITS)],
-          {"expr": print_expr(out, ctx), "order": args.order, "var": args.var})
+          {"expr": print_expr(out, ctx), "order": signed_order, "var": args.var})
     return 0
+
+
+def cmd_deriv(args) -> int:
+    return _differintegral(args, rl_deriv, args.order)
 
 
 def cmd_integ(args) -> int:
-    ctx = _context(args, args.expr)
-    e = parse_expr(args.expr, ctx)
-    out = rl_integ(e, args.var, args.order, ctx)
-    _emit(args, [print_expr(out, ctx, DIGITS)],
-          {"expr": print_expr(out, ctx), "order": -args.order, "var": args.var})
-    return 0
+    return _differintegral(args, rl_integ, -args.order)
 
 
 def cmd_dv(args) -> int:

@@ -7,8 +7,11 @@ factor: swapping two adjacent factors flips the sign, a word containing two
 factors with the same coordinate *and* the same order is zero, and order-0
 factors are identified with the scalar unit and removed (that is the only
 reading under which an order-0 exterior derivative of a scalar stays a
-scalar).  Every word in one form must carry the same number of factors and
-the same total order; the factor orders themselves may differ word to word.
+scalar).  One helper, :func:`_kept`, decides which factors a word keeps
+(those of order above ``EXP_TOL``): canonical words and the grade count
+of a parsed literal both ask it, so ``d(x,0)`` reads as 1.
+Every word in one form must carry the same number of factors and the same
+total order; the factor orders themselves may differ word to word.
 
 The :class:`Form` constructor, which takes a mapping or (word, coefficient)
 pairs, is the one place that sums the coefficients of equal words.  A form
@@ -76,14 +79,20 @@ class WedgeWord:
         return sum(f.order for f in self.factors)
 
 
+def _kept(factors: Iterable[DiffFactor]) -> list[DiffFactor]:
+    """The factors a word keeps, in order: those of order above ``EXP_TOL``.
+    An order-0 factor is the scalar unit, so it adds nothing to the grade."""
+    return [f for f in factors if abs(f.order) > EXP_TOL]
+
+
 def canonical_word(factors: Iterable[DiffFactor]) -> tuple[int, WedgeWord | None]:
     """Sort factors, returning (permutation sign, word) or (0, None) for zero.
 
-    Order-0 factors are dropped before sorting.  The sign is the parity of
-    the sorting permutation; a repeated (coord, order) pair makes the word
-    the zero word.
+    Order-0 factors are dropped before sorting (:func:`_kept`).  The sign is
+    the parity of the sorting permutation; a repeated (coord, order) pair
+    makes the word the zero word.
     """
-    fs = [f for f in factors if abs(f.order) > EXP_TOL]
+    fs = _kept(factors)
     keys = [f.key for f in fs]
     sign = 1
     # insertion sort, counting transpositions of adjacent factors
@@ -261,24 +270,23 @@ def frac_exterior_deriv(a: Form | Expr, nu: float, ctx: Context) -> Form:
 def parse_form(text: str, ctx: Context) -> Form:
     """Parse a form literal; a bare expression is a grade-0 form.
 
-    The terms of one wedge word are summed once, as
-    :func:`fracforms.symbolic.parse_expr` sums an expression, and each
-    distinct wedge is put in canonical order once.
+    A term's grade counts the factors its word keeps (:func:`_kept`), so an
+    order-0 differential is the unit: ``d(x,0)`` reads as 1 and ``x d(x,0)
+    & d(y,0.5)`` as ``x d(y,0.5)``.  The terms of one wedge word are summed
+    once, as :func:`fracforms.symbolic.parse_expr` sums an expression, and
+    each distinct wedge is counted and put in canonical order once.
     """
     coeffs, rows, factors = scan_terms(text, ctx.index, ctx.n, DiffFactor)
-    grades = {len(fs) for fs in factors}
+    wedges = dict.fromkeys(factors)  # each distinct wedge once
+    grades = {len(_kept(fs)) for fs in wedges}
     if len(grades) != 1:
         raise ParseError("every term of a form must carry the same number of differentials")
     grade = grades.pop()
+    canon = {fs: canonical_word(fs) for fs in wedges}
     words: dict[WedgeWord, list] = {}
-    # scan_terms shares one tuple between the terms of one wedge text
-    canon: dict[tuple, tuple[int, WedgeWord | None]] = {}
     total_order = None
     for c, row, fs in zip(coeffs, rows, factors):
-        sw = canon.get(fs)
-        if sw is None:
-            sw = canon[fs] = canonical_word(fs)
-        sign, word = sw
+        sign, word = canon[fs]
         if word is None:
             continue
         if total_order is None:

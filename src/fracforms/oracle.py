@@ -8,7 +8,10 @@ evaluator.  The scheme is the backward Grunwald-Letnikov sum
     D^q f(x)  ~  h^(-q) * sum_{k=0..N} (-1)^k binom(q, k) f(x - k h),
 
 first-order accurate in h, optionally sharpened by Richardson extrapolation
-assuming the leading error is O(h).  Functions with an integrable endpoint
+assuming the leading error is O(h).  :func:`gl_deriv` and :func:`richardson`
+share one step rule, :func:`_check_grid`'s: h is rounded to divide x - a
+into a whole number of steps, at least :data:`MIN_STEPS` of them, so a
+coarser step is refined, not refused.  Functions with an integrable endpoint
 singularity (for example t^(-1/2) integrated from 0) are sampled starting at
 a + h: the endpoint node is dropped when the function is not finite there.
 
@@ -173,13 +176,17 @@ def _samples(f, x: float, h: float, fine: int) -> np.ndarray:
     return vals if math.isfinite(vals[fine]) else vals[:fine]
 
 
-def _check_grid(q: float, x: float, a: float, h: float, levels: int) -> None:
-    """Reject what no GL sum is defined for: an order that is not finite or
-    a step that is not positive and finite (``ValueError``), and a point not
-    above the initial point (the oracle's domain error,
+def _check_grid(q: float, x: float, a: float, h: float, levels: int) -> int:
+    """The coarsest grid's interval count: (x - a)/h rounded, and at least
+    :data:`MIN_STEPS`, so a coarser step is refined rather than refused.
+
+    First it rejects what no GL sum is defined for: an order that is not
+    finite or a step that is not positive and finite (``ValueError``), and
+    a point not above the initial point (the oracle's domain error,
     :class:`~fracforms.errors.QuadratureDomainError`).  A finest grid of
-    more than :data:`_MAX_NODES` nodes is refused as a ``ValueError`` too,
-    before anything is allocated."""
+    more than :data:`_MAX_NODES` nodes, counted in floats before any
+    rounding, is refused as a ``ValueError`` too, before anything is
+    allocated."""
     if not math.isfinite(q):
         raise ValueError(f"GL order must be finite, got {q}")
     if not x > a:
@@ -192,20 +199,17 @@ def _check_grid(q: float, x: float, a: float, h: float, levels: int) -> None:
         raise ValueError(
             f"GL grid of {nodes:.3g} nodes ({8 * nodes:.3g} bytes of samples) at step {h} "
             f"and {levels} levels exceeds the cap of {_MAX_NODES} nodes")
+    return max(MIN_STEPS, int(round((x - a) / h)))
 
 
 def gl_deriv(f: Callable, q: float, x: float, a: float = 0.0, h: float = 1e-4) -> float:
     """Grunwald-Letnikov differintegral of order q at x, anchored at a.
 
     ``h`` is nudged to the nearest value that divides x - a into a whole
-    number of steps (at least :data:`MIN_STEPS`).
+    number of steps, and refined to at least :data:`MIN_STEPS` steps, as
+    :func:`richardson` does (:func:`_check_grid`).
     """
-    _check_grid(q, x, a, h, 1)
-    steps = int(round((x - a) / h))
-    if steps < MIN_STEPS:
-        raise ValueError(
-            f"step {h} leaves only {steps} nodes on [{a}, {x}]; need at least {MIN_STEPS}"
-        )
+    steps = _check_grid(q, x, a, h, 1)
     return _gl_levels(f, float(q), float(x), float(a), steps, 1)[0]
 
 
@@ -247,8 +251,7 @@ def richardson(f: Callable, q: float, x: float, a: float = 0.0, h0: float = 1e-4
     """
     if not 2 <= levels <= 5:
         raise ValueError(f"levels must be between 2 and 5, got {levels}")
-    _check_grid(q, x, a, h0, levels)
-    steps0 = max(MIN_STEPS, int(round((x - a) / h0)))
+    steps0 = _check_grid(q, x, a, h0, levels)
     plain = _gl_levels(f, float(q), float(x), float(a), steps0, levels)
     rows = richardson_table(plain, range(1, levels))
     value = rows[-1][-1]
@@ -286,10 +289,7 @@ def expr_evaluable(e: Expr, ctx: Context) -> Callable:
     shares no code with the symbolic path it checks, so it reads only the
     expression's coefficient and exponent arrays.
     """
-    # None where a_i = +0.0: t - 0.0 is t, so the subtraction is skipped
-    # (t - (-0.0) is not: it turns t = -0.0 into +0.0)
-    a = [np.float64(ai) if ai or math.copysign(1.0, ai) < 0 else None
-         for ai in ctx.initial_points]
+    a = _offsets(ctx.initial_points)
     terms = list(zip(e.coeffs.tolist(), e.exponents.tolist()))
 
     def f(pt):
@@ -311,6 +311,15 @@ def expr_evaluable(e: Expr, ctx: Context) -> Callable:
         return total
 
     return f
+
+
+def _offsets(initial_points: Sequence[float]) -> list[np.float64 | None]:
+    """Each initial point as the offset a coordinate's base subtracts, or
+    None where it is +0.0: t - 0.0 is t, so the subtraction is skipped
+    (t - (-0.0) is not: it turns t = -0.0 into +0.0).  The one rule, here
+    and in the numeric chart integrands of :mod:`fracforms.charts`."""
+    return [np.float64(ai) if ai or math.copysign(1.0, ai) < 0 else None
+            for ai in initial_points]
 
 
 # the ufunc of each operator _into takes, which can write into an operand

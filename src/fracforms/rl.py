@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExponentDomainError
-from .specialfn import gamma_ratio, gen_binomial, rgamma, snap_int, whole_ceil
+from .specialfn import gamma_ratio, gen_binomial, positive, rgamma, snap_int, whole_ceil
 from .symbolic import (
     Context,
     Expr,
@@ -117,9 +117,8 @@ def rl_deriv(e: Expr, coord: int | str, q: float, ctx: Context) -> Expr:
 
 def rl_integ(e: Expr, coord: int | str, q: float, ctx: Context) -> Expr:
     """Fractional integral of order q > 0 from the initial point."""
-    if not 0 < q < math.inf:
-        raise ValueError(f"integral order must be positive and finite, got {q}")
-    return power_rule_map(e, ctx.index(coord), -float(q), ctx)
+    q = positive(q, "integral order")
+    return power_rule_map(e, ctx.index(coord), -q, ctx)
 
 
 def compose_residual(e: Expr, coord: int | str, p: float, q: float, ctx: Context) -> Expr:

@@ -21,6 +21,15 @@ _LOG_MAX = 709.0   # log of the largest finite double, roughly
 _LOG_MIN = -745.0  # below this exp() underflows to zero
 
 
+def positive(value: float, what: str) -> float:
+    """``value`` as a float, when it is positive and finite: the domain of
+    every order that must be above zero, checked here alone."""
+    value = float(value)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+    return value
+
+
 def snap_int(x: float) -> int | None:
     """Nearest integer when ``x`` is within ``EXP_TOL`` of one, else None."""
     r = round(x)

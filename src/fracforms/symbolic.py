@@ -247,12 +247,7 @@ class Expr:
 
     @classmethod
     def constant(cls, c: float, n: int) -> "Expr":
-        c = float(c)
-        if not math.isfinite(c):
-            raise ValueError("term coefficient must be finite")
-        if abs(c) < COEFF_DROP:
-            return cls.zero(n)
-        return _wrap(np.array([c]), np.zeros((1, n)), n)
+        return _merged(np.array([float(c)]), np.zeros((1, n)), n)
 
     @classmethod
     def make(cls, pairs: Iterable[tuple[float, Sequence[float]]], n: int) -> "Expr":
@@ -349,15 +344,16 @@ class Expr:
 
 def _merge_one(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The canonical merge of a single term: snap and drop, nothing to sort."""
-    c = float(coeffs[0])
-    row = exponents[0].tolist()
+    (c,), (row,) = coeffs.tolist(), exponents.tolist()
     if not (math.isfinite(c) and math.isfinite(sum(row))):
         _check_finite(coeffs, exponents)
     if abs(c) < COEFF_DROP:
         return coeffs[:0], exponents[:0]
-    if min(map(abs, row)) > EXP_TOL:
-        return coeffs, exponents
-    return coeffs, np.array([[0.0 if abs(p) <= EXP_TOL else p for p in row]])
+    for p in row:
+        # only a small nonzero or a -0.0 snaps to something else than itself
+        if abs(p) <= EXP_TOL and (p or math.copysign(1.0, p) < 0):
+            return coeffs, np.array([[0.0 if abs(p) <= EXP_TOL else p for p in row]])
+    return coeffs, exponents
 
 
 def _merge_loop(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

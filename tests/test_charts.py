@@ -588,3 +588,20 @@ def test_matrix_json_symbolic_entries_are_printable():
 def test_format_matrix_digits():
     out = format_matrix([[1.0, 0.5641895835477563], [0.0, 2.0]], 10)
     assert out == "[[1,0.5641895835],[0,2]]"
+
+
+@pytest.mark.parametrize("spec, n, matrix", [
+    ("identity", None, "1,0;0,1"),
+    ("identity", 3, "1,0,0;0,1,0;0,0,1"),
+    ("scale:2,-0.5", None, "2,0;0,-0.5"),
+    ("scale:4,0.25,-8", None, "4,0,0;0,0.25,0;0,0,-8"),
+])
+def test_identity_and_scale_maps_are_those_of_the_affine_chart(spec, n, matrix):
+    # one kind of chart, x = M y: the reciprocals here are exact, so the
+    # affine chart's inverse matrix is the same as the scale chart's 1/c
+    mine, affine = get_chart(spec, n), get_chart("affine:" + matrix)
+    assert (mine.ctx_x, mine.ctx_y) == (affine.ctx_x, affine.ctx_y)
+    for got, want in zip(mine.forward + mine.inverse, affine.forward + affine.inverse):
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert got.exponents.tobytes() == want.exponents.tobytes()
+        assert got.exponents.shape == want.exponents.shape

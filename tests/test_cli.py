@@ -221,6 +221,26 @@ def test_dv_skips_zero_words(capsys):
     assert out == "0"
 
 
+@pytest.mark.parametrize("text, same_as", [
+    ("d(x,0)", "1"),
+    ("x d(x,0)", "x"),
+    ("x d(x,0) & d(y,0.5)", "x d(y,0.5)"),
+])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_dv_reads_an_order_0_differential_as_the_unit(capsys, text, same_as, json_flag):
+    argv = ["--coords", "x,y", "--order", "0.5", *json_flag]
+    code, out, err = run(capsys, "dv", text, *argv)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, "dv", same_as, *argv)
+
+
+@pytest.mark.parametrize("text", ["x d(x,0) + y d(y,0.5)", "x d(x,1) & d(x,1) + y d(y,1)"])
+def test_dv_of_mixed_grades_exits_2(capsys, text):
+    code, out, err = run(capsys, "dv", text, "--order", "0.5")
+    assert (code, out) == (2, "")
+    assert err == "parse error: every term of a form must carry the same number of differentials"
+
+
 def test_dv_json_round_trips(capsys):
     code, out, _ = run(capsys, "dv", "x1^2*x2", "--order", "0.5", "--json")
     assert code == 0
@@ -264,6 +284,14 @@ def test_closed_needs_a_one_form(capsys):
     assert code == 3
     assert out == ""
     assert "grade 0" in err
+
+
+@pytest.mark.parametrize("verb", ["closed", "exact"])
+def test_closed_and_exact_of_a_grade_0_form_exit_3(capsys, verb):
+    # solve_exact asks for a grade-1 form before its order, as is_closed does
+    code, out, err = run(capsys, verb, "x")
+    assert (code, out) == (3, "")
+    assert err == "domain error: expected a grade-1 form, got grade 0"
 
 
 def test_closed_takes_no_order(capsys):
@@ -496,6 +524,15 @@ def test_oracle_plain_sum_without_extrapolation(capsys):
                        "--point", "1", "--levels", "1")
     assert code == 0
     assert out.splitlines()[1] == "symbolic: 1.128379167"
+
+
+def test_oracle_plain_sum_refines_a_coarse_step(capsys):
+    # --h 0.5 leaves 2 steps on [0, 1]; the plain sum takes MIN_STEPS, the grid of --h 0.1
+    argv = ["oracle", "x", "--var", "x", "--order", "0.5", "--point", "1", "--levels", "1",
+            "--json"]
+    code, out, err = run(capsys, *argv, "--h", "0.5")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["gl"] == json.loads(run(capsys, *argv, "--h", "0.1")[1])["gl"]
 
 
 # ---------------------------------------------------------------------------

@@ -445,3 +445,35 @@ def test_json_shape():
     assert blob["terms"] == [
         {"sign": 1, "factors": [{"coord": "x1", "order": 0.5}], "coeff": "x2"}
     ]
+
+
+# ---------------------------------------------------------------------------
+# order-0 differentials: one rule for the grade of a word and of a literal
+
+XYT = Context.of(("x", "y"))
+
+
+def _bits(form):
+    return (form.grade, form.total_order.hex(),
+            [(w.key, e.coeffs.tobytes(), e.exponents.tobytes()) for w, e in form.terms.items()])
+
+
+@pytest.mark.parametrize("text, same_as", [
+    ("d(x,0)", "1"),
+    ("x d(x,0) & d(y,0.5)", "x d(y,0.5)"),
+    ("2*x*y d(y,0.5) & d(x,0) - y d(y,0) & d(x,0.5)", "2*x*y d(y,0.5) - y d(x,0.5)"),
+])
+def test_an_order_0_differential_reads_as_the_unit(text, same_as):
+    # the grade counts the factors canonical_word keeps, those of order above EXP_TOL
+    assert _bits(parse_form(text, XYT)) == _bits(parse_form(same_as, XYT))
+
+
+@pytest.mark.parametrize("text", [
+    "x d(x,0) + y d(y,0.5)",  # grades 0 and 1
+    "x d(x,1) & d(x,1) + y d(y,1)",  # grades 2 and 1, the first word zero
+])
+def test_a_literal_of_mixed_grades_is_a_parse_error(text):
+    from fracforms import ParseError
+
+    with pytest.raises(ParseError, match="same number of differentials"):
+        parse_form(text, XYT)

@@ -236,7 +236,8 @@ def ref_parse_form(text, ctx, per_word=False):
         break
     p.expect_end()
 
-    grades = {len(fs) for _, fs in pieces}
+    # a grade counts the factors of order above EXP_TOL: an order-0 factor is the unit
+    grades = {sum(abs(f.order) > EXP_TOL for f in fs) for _, fs in pieces}
     if len(grades) != 1:
         raise ParseError("every term of a form must carry the same number of differentials")
     grade = grades.pop()

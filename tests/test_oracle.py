@@ -217,15 +217,17 @@ def test_a_grid_over_the_node_cap_is_refused_before_it_is_sampled(monkeypatch):
 
 
 def test_richardson_takes_at_least_min_steps():
-    # a step too coarse for MIN_STEPS nodes is refined, where gl_deriv raises
+    # a step too coarse for MIN_STEPS nodes is refined, as in gl_deriv
     res = richardson(lambda t: t * t, 1.0, 1.0, 0.0, h0=0.5)
     assert res.value == pytest.approx(2.0, rel=1e-9)
 
 
-def test_rejects_too_few_nodes():
-    with pytest.raises(ValueError) as exc:
-        gl_deriv(lambda t: t, 0.5, 1.0, 0.0, h=0.5)
-    assert str(MIN_STEPS) in str(exc.value)
+def test_gl_deriv_refines_a_step_too_coarse_for_min_steps():
+    # h = 0.5 leaves 2 steps on [0, 1]; like richardson, gl_deriv takes
+    # MIN_STEPS = 10 of them, the grid of h = 0.1
+    assert MIN_STEPS == 10
+    coarse = gl_deriv(lambda t: t, 0.5, 1.0, 0.0, h=0.5)
+    assert coarse.hex() == gl_deriv(lambda t: t, 0.5, 1.0, 0.0, h=0.1).hex()
 
 
 def test_singular_anchor_node_is_dropped():
@@ -581,3 +583,13 @@ def test_expr_evaluable_is_the_plain_formula_byte_for_byte(data, n):
         assert type(got) is type(want)
         assert np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_a_scalar_result_for_the_node_array_is_not_taken_as_a_constant():
+    # norm and dot reduce the node array to one number but are |t| and t*t
+    # on one node: a 0-d result sends sampling node by node
+    for reducing, pointwise in ((np.linalg.norm, np.abs), (lambda t: np.dot(t, t), lambda t: t * t)):
+        got = richardson(reducing, 0.5, 1.0, 0.0, 1e-3, 3)
+        want = richardson(pointwise, 0.5, 1.0, 0.0, 1e-3, 3)
+        assert got.value.hex() == want.value.hex()
+        assert gl_deriv(reducing, 0.5, 1.0, 0.0, 1e-3).hex() == gl_deriv(pointwise, 0.5, 1.0, 0.0, 1e-3).hex()

@@ -234,3 +234,12 @@ def test_whole_ceil_snaps_near_integers():
     # floating noise just above a whole order must not bump the index
     assert whole_ceil(1.0 + 1e-12) == 1
     assert whole_ceil(2.0 - 1e-12) == 2
+
+
+def test_positive_is_the_one_order_domain():
+    from fracforms.specialfn import positive
+
+    assert positive(2, "order") == 2.0 and type(positive(2, "order")) is float
+    for bad in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^kernel order must be positive and finite, got {bad}$"):
+            positive(bad, "kernel order")

@@ -849,3 +849,25 @@ def test_context_lookup_and_origin_default():
     assert XY.initial_points == (0.0, 0.0)
     with pytest.raises(UnknownCoordinateError):
         XY.index("z")
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+def test_a_constant_that_is_not_finite_raises(c):
+    with pytest.raises(ValueError, match="^term coefficient must be finite$"):
+        Expr.constant(c, 2)
+
+
+@pytest.mark.parametrize("c", [1e-13, -1e-13, 0.0, -0.0])
+def test_a_constant_below_the_drop_is_zero(c):
+    e = Expr.constant(c, 2)
+    assert e == Expr.zero(2)
+    assert (e.coeffs.shape, e.exponents.shape) == ((0,), (0, 2))
+    assert e.coeffs.dtype == e.exponents.dtype == np.float64
+
+
+@pytest.mark.parametrize("c", [COEFF_DROP, -2.5, 7])
+def test_a_constant_is_one_term_of_zero_exponents(c):
+    e = Expr.constant(c, 3)
+    assert e.coeffs.tobytes() == np.array([float(c)]).tobytes()
+    assert e.exponents.tobytes() == np.zeros((1, 3)).tobytes()
+    assert not (e.coeffs.flags.writeable or e.exponents.flags.writeable)
