@@ -245,6 +245,9 @@ def _central_derivative(g: Callable[[float], float], t: float, order: int) -> fl
     at most 5.1e-11 * max(1, |entry|), and 218 of 800 order-3 entries by at
     most 1.0e-9 * max(1, |entry|), the size of their own error against the
     symbolic entries.
+
+    A stencil sum beyond the largest double makes the result inf, and a
+    non-finite value of g makes it inf or nan.
     """
     if order not in _STENCILS:
         raise UnsupportedError(f"whole-order numeric derivatives go up to 3, got {order}")
@@ -256,8 +259,11 @@ def _central_derivative(g: Callable[[float], float], t: float, order: int) -> fl
     vals = [g(u) for u in nodes] if vals is None else vals.tolist()
     width = len(stencil)
     rows = [vals[lvl * width:(lvl + 1) * width] for lvl in range(levels)]
-    diffs = [math.fsum(w * v for (_, w), v in zip(stencil, row)) / h ** order
-             for row, h in zip(rows, steps)]
+    try:
+        diffs = [math.fsum(w * v for (_, w), v in zip(stencil, row)) / h ** order
+                 for row, h in zip(rows, steps)]
+    except (OverflowError, ValueError):  # a running sum beyond the doubles, or -inf + inf
+        return math.inf
     return richardson_table(diffs, (2, 4, 6))[-1][-1]
 
 
@@ -391,12 +397,20 @@ def _numeric_entries(chart: Chart, nu: float, point, h0: float, levels: int) -> 
                 try:
                     val = richardson(line, nu, point[i], atil[i], h0, levels).value
                 except QuadratureDomainError as exc:
-                    raise QuadratureDomainError(
-                        f"chart {chart.name!r}, entry (k={k}, i={i}) along "
-                        f"{chart.ctx_y.names[i]} at order {fmt_number(nu)}: {exc}") from exc
-            row.append(val * scale)
+                    raise QuadratureDomainError(f"{_entry_name(chart, k, i, nu)}: {exc}") from exc
+            val *= scale
+            if not math.isfinite(val):
+                what = "GL value" if whole is None else "central difference"
+                raise ValueError(f"{_entry_name(chart, k, i, nu)}: {what} overflows a double")
+            row.append(val)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def _entry_name(chart: Chart, k: int, i: int, nu: float) -> str:
+    """How an error in the numeric entry (k, i) names it."""
+    return (f"chart {chart.name!r}, entry (k={k}, i={i}) along {chart.ctx_y.names[i]} "
+            f"at order {fmt_number(nu)}")
 
 
 def jacobian(chart: Chart, nu: float, point: Sequence[float] | None = None,
@@ -483,19 +497,27 @@ def transform_form(A: Form, J: JacobianMatrix) -> Form:
     else:
         maps = _shifted_maps(chart)
         comps = [_compose_monomial(c, maps) for c in comps]
-    coeffs = [_dot(comps, column, chart.n) for column in zip(*J.entries)]
+    coeffs = [_dot(comps, column, chart.n, f"pullback coefficient of d{name}")
+              for name, column in zip(chart.ctx_y.names, zip(*J.entries))]
     return Form(1, nu, [(WedgeWord((DiffFactor(i, nu),)),
                          c if isinstance(c, Expr) else Expr.constant(c, chart.n))
                         for i, c in enumerate(coeffs)])
 
 
-def _dot(xs: Sequence, ys: Sequence, n: int):
+def _dot(xs: Sequence, ys: Sequence, n: int, what: str):
     """sum_k xs[k] * ys[k]: ``math.fsum`` over floats, the left-fold sum over
-    Exprs (of n coordinates)."""
+    Exprs (of n coordinates).  A float sum beyond the largest double is a
+    ``ValueError`` that names it as ``what``."""
     products = [x * y for x, y in zip(xs, ys)]
     if isinstance(products[0], Expr):
         return sum(products, Expr.zero(n))
-    return math.fsum(products)
+    try:
+        total = math.fsum(products)
+    except (OverflowError, ValueError):  # a running sum beyond the doubles, or -inf + inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"{what}: the sum over k overflows a double")
+    return total
 
 
 def inverse_residual(chart: Chart, nu: float, point: Sequence[float],
@@ -524,7 +546,8 @@ def metric(chart: Chart, nu: float, point: Sequence[float] | None = None,
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            rows[i][j] = rows[j][i] = _dot(columns[i], columns[j], n)
+            rows[i][j] = rows[j][i] = _dot(columns[i], columns[j], n,
+                                           f"metric entry (i={i}, j={j}) of chart {chart.name!r}")
     return MetricMatrix(tuple(tuple(r) for r in rows), J.nu, chart, J.point)
 
 
@@ -538,7 +561,10 @@ def line_element(g: MetricMatrix, dy: Sequence[float]) -> float:
     v = np.asarray(dy, dtype=np.float64)
     if v.shape != (g.n,):
         raise ValueError(f"expected {g.n} displacement components, got {v.shape}")
-    s = float(v @ arr @ v)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum beyond the doubles raises below
+        s = float(v @ arr @ v)
+    if not math.isfinite(s):
+        raise ValueError("line element: the sum over i, j of g_ij dy_i dy_j overflows a double")
     if s < -1e-12:
         raise NegativeQuadraticFormError(
             f"quadratic form is negative ({s:.6g}) at this point")

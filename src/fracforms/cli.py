@@ -240,9 +240,9 @@ def cmd_oracle(args) -> int:
     var = ctx.index(args.var)
     x = float(point[var])
     a = ctx.initial_points[var]
-    if args.levels <= 1:
+    if args.levels == 1:
         value = gl_deriv(f, args.order, x, a, args.h)
-        est, converged = float("nan"), None
+        est, converged = None, None
     else:
         res = richardson(f, args.order, x, a, h0=args.h, levels=args.levels)
         value, est, converged = res.value, res.error_estimate, res.converged

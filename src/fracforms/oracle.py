@@ -30,10 +30,10 @@ products, which sums every level in one pass over the weights
 For q > 0 the kernel sums the first :data:`~fracforms.kernels.HEAD`
 samples of every level as f - f(x), so the rounding of the large, nearly
 cancelling products near x stays below the sum itself (see
-:mod:`fracforms.kernels`).  A block sum, a scale h^(-q) or a scaled level
-beyond the largest double is a
-:class:`~fracforms.errors.QuadratureDomainError` that names the order and
-the finest step, with no numpy warning before it.  So is a point at or
+:mod:`fracforms.kernels`).  A block sum, a scale h^(-q), a scaled level,
+or a Richardson extrapolant or error estimate beyond the largest double is
+a :class:`~fracforms.errors.QuadratureDomainError` that names the order
+and the finest step, with no numpy warning before it.  So is a point at or
 below the initial point: the oracle owns that rule, and a numeric chart
 entry reports it under the chart's name.  A finest grid of more than
 :data:`_MAX_NODES` nodes is a ``ValueError`` that names the nodes, the
@@ -141,7 +141,13 @@ def _gl_levels(f, q: float, x: float, a: float, steps: int, levels: int) -> list
         raise QuadratureDomainError(
             f"integrand undefined at sample node t={x - h * int(np.argmin(ok))}")
     # an overflow above, or a finite sum times a finite scale beyond the largest double
-    raise QuadratureDomainError(f"GL differintegral of order {q} at step {h} overflows a double")
+    raise _overflow(q, h)
+
+
+def _overflow(q: float, h: float) -> QuadratureDomainError:
+    """The error of a GL value of order q at finest step h beyond the
+    largest double."""
+    return QuadratureDomainError(f"GL differintegral of order {q} at step {h} overflows a double")
 
 
 def _samples(f, x: float, h: float, fine: int) -> np.ndarray:
@@ -247,15 +253,20 @@ def richardson(f: Callable, q: float, x: float, a: float = 0.0, h0: float = 1e-4
     sampling of f on the finest grid, and eliminates error orders 1, 2, ...
     down the triangular table.  Warns (and reports ``converged=False``) when
     the last two diagonal entries disagree by more than 10x the error
-    estimate.
+    estimate.  An extrapolant or an estimate beyond the largest double is
+    the :class:`~fracforms.errors.QuadratureDomainError` of an overflowing
+    plain sum.
     """
     if not 2 <= levels <= 5:
         raise ValueError(f"levels must be between 2 and 5, got {levels}")
     steps0 = _check_grid(q, x, a, h0, levels)
-    plain = _gl_levels(f, float(q), float(x), float(a), steps0, levels)
+    q, x, a = float(q), float(x), float(a)
+    plain = _gl_levels(f, q, x, a, steps0, levels)
     rows = richardson_table(plain, range(1, levels))
     value = rows[-1][-1]
     estimate = abs(rows[-1][-1] - rows[-1][-2])
+    if not (math.isfinite(value) and math.isfinite(estimate)):
+        raise _overflow(q, (x - a) / (steps0 << (levels - 1)))
     diag_step = abs(rows[-1][-1] - rows[-2][-1])
     converged = diag_step <= 10.0 * estimate + 1e-13 * (1.0 + abs(value))
     if not converged:

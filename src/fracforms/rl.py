@@ -193,6 +193,6 @@ def product_rule_series(f: Expr, g: Expr, coord: int | str, q: float, ctx: Conte
         probe = tuple(a + 1.0 for a in ctx.initial_points)
         try:
             tail = abs(eval_expr(next_term, ctx, probe))
-        except OverflowError:  # every base is 1 here: only fsum's running sum can fail
+        except ValueError:  # every base is 1 here: only the sum of the terms can overflow
             tail = math.inf
     return SeriesResult(total, tail > 1e-9, tail)

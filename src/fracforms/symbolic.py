@@ -30,9 +30,13 @@ An :class:`Expr` over n coordinates holds its m terms as two read-only
 float64 arrays: the coefficient vector ``coeffs`` of shape (m,) and the
 exponent matrix ``exponents`` of shape (m, n), and nothing else.  The
 operators work on those arrays directly.  Every ``Expr`` is canonical from
-the moment it exists: ``Expr(coeffs, exponents, n)`` merges the rows it is
-given, and the module's own operators wrap only arrays that are already
-canonical.
+the moment it exists, built by one of three constructors, each with its
+precondition: :func:`_merged` takes rows in any order and merges them
+(``Expr(coeffs, exponents, n)`` calls it), :func:`_drop_rows` takes rows
+that are canonical except for the drop, and :func:`_wrap` takes rows that
+are canonical.  :func:`_drop_rows` is the one drop and finiteness check of
+every result of more than one row: a non-finite coefficient raises
+``ValueError`` before any row is dropped.
 
 Canonicalization snaps exponents within ``EXP_TOL`` (1e-9) of 0 to 0,
 merges terms whose exponent vectors have the same merge key (the exponent
@@ -45,17 +49,18 @@ coefficients in input order (first + second + ...), and each merged exponent
 is, per coordinate, the last one in input order among those closest to the
 key.  The result does not depend on how the merge is carried out: the
 vectorized merge used for larger expressions and the loop used for small ones
-give the same doubles.  A single term is only snapped and dropped
-(:func:`_merge_one`).  A sum with more than ``_SMALL_MERGE`` terms between
-its two sides merges their two sorted runs (:func:`_merge_runs`), where a key
-holds at most two terms, one from each side, and gets the same doubles again;
-two runs with the same keys row by row are paired row by row, unsorted.
+give the same doubles.  At most one term is only snapped and dropped
+(:func:`_merge_one`), so an empty operand never reaches the dict loop.  A
+sum with more than ``_SMALL_MERGE`` terms between its two sides merges their
+two sorted runs (:func:`_merge_runs`), where a key holds at most two terms,
+one from each side, and gets the same doubles again; two runs with the same
+keys row by row are paired row by row, unsorted.
 
 Shifting one exponent column of an expression of two or more terms, as the
 power rule and the classical derivative do, runs no merge when the shift
-keeps every key comparison in that column, snaps no exponent and drops no
-coefficient (:func:`shift_column`): the shifted arrays are then already what
-the merge would return.
+keeps every key comparison in that column and snaps no exponent
+(:func:`shift_column`): the shifted rows, less those :func:`_drop_rows`
+drops, are then already what the merge would return.
 
 Each of these fast paths pays for itself.  Taking one out and timing 4-5
 alternating 20 s pairs of the benchmark under ``perfbench/`` at seed 3 (a
@@ -290,9 +295,7 @@ class Expr:
         return _wrap(-self.coeffs, self.exponents, self.n)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = Expr.constant(float(other), self.n)
-        if not isinstance(other, Expr):
+        if not isinstance(other, (int, float, Expr)):
             return NotImplemented
         return self + (-other)
 
@@ -301,12 +304,8 @@ class Expr:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            coeffs = self.coeffs * float(other)
             # scaling keeps keys and order; only the drop can change
-            if not np.isfinite(coeffs).all():
-                raise ValueError("term coefficient must be finite")
-            keep = np.abs(coeffs) >= COEFF_DROP
-            return _wrap(coeffs[keep], self.exponents[keep], self.n)
+            return _wrap(*_drop_rows(self.coeffs * float(other), self.exponents), self.n)
         if not isinstance(other, Expr):
             return NotImplemented
         self._check(other)
@@ -321,8 +320,9 @@ class Expr:
         """Raise to a real power; closed only for whole powers or monomials."""
         k = snap_int(power)
         if k is not None and k >= 0:
-            out = Expr.constant(1.0, self.n)
-            for _ in range(k):
+            # the left fold of products from 1, where 1 * self is self
+            out = self if k else Expr.constant(1.0, self.n)
+            for _ in range(k - 1):
                 out = out * self
             return out
         if len(self.coeffs) == 1:
@@ -342,8 +342,28 @@ class Expr:
         )
 
 
+def _drop_rows(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows that are canonical but for the drop, with the coefficients below
+    ``COEFF_DROP`` in magnitude dropped; the arrays themselves when none is.
+
+    A non-finite coefficient raises ``ValueError`` first, so a nan is never
+    dropped as small.  The one drop and finiteness check of every result of
+    more than one row; :func:`_merge_one` keeps a scalar copy for one term.
+    """
+    mags = np.abs(coeffs)
+    if not mags.max(initial=0.0) < math.inf:  # also a nan
+        raise ValueError("term coefficient must be finite")
+    if mags.min(initial=math.inf) >= COEFF_DROP:
+        return coeffs, exponents
+    keep = mags >= COEFF_DROP
+    return coeffs[keep], exponents[keep]
+
+
 def _merge_one(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical merge of a single term: snap and drop, nothing to sort."""
+    """The canonical merge of at most one term: snap and drop, nothing to
+    sort.  No term returns the arrays as they are."""
+    if not len(coeffs):
+        return coeffs, exponents
     (c,), (row,) = coeffs.tolist(), exponents.tolist()
     if not (math.isfinite(c) and math.isfinite(sum(row))):
         _check_finite(coeffs, exponents)
@@ -375,12 +395,9 @@ def _merge_loop(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, 
                 for old, p, k in zip(slot[0], exps, bucket)
             )
             slot[1] += c
-    kept = [slot for _, slot in sorted(buckets.items()) if abs(slot[1]) >= COEFF_DROP]
-    out_c = [c for _, c in kept]
-    if not math.isfinite(sum(out_c)) and not all(map(math.isfinite, out_c)):
-        raise ValueError("term coefficient must be finite")
-    return (np.array(out_c, dtype=np.float64),
-            np.array([e for e, _ in kept], dtype=np.float64).reshape(len(kept), exponents.shape[1]))
+    merged = [slot for _, slot in sorted(buckets.items())]
+    return _drop_rows(np.array([c for _, c in merged], dtype=np.float64),
+                      np.array([e for e, _ in merged], dtype=np.float64))
 
 
 def _merge_arrays(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -407,11 +424,7 @@ def _merge_arrays(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray
         closest = dist == np.minimum.reduceat(dist, starts, axis=0)[group]
         last = np.maximum.reduceat(np.where(closest, np.arange(m)[:, None], -1), starts, axis=0)
         out_e = snapped[last, np.arange(n)]
-    keep = np.abs(out_c) >= COEFF_DROP
-    out_c = out_c[keep]
-    if not np.isfinite(out_c).all():
-        raise ValueError("term coefficient must be finite")
-    return out_c, out_e[keep]
+    return _drop_rows(out_c, out_e)
 
 
 def _sort_rows(ks: np.ndarray) -> np.ndarray:
@@ -448,12 +461,9 @@ def _merge_runs(coeffs: np.ndarray, exponents: np.ndarray,
         coeffs[first] += coeffs[second]
     k, ea, eb = ks[first], exponents[first], exponents[second]
     exponents[first] = np.where(np.abs(eb - k) <= np.abs(ea - k), eb, ea)
-    keep = np.abs(coeffs) >= COEFF_DROP
-    keep[second] = False
-    coeffs = coeffs[keep]
-    if not np.isfinite(coeffs).all():
-        raise ValueError("term coefficient must be finite")
-    return coeffs, exponents[keep]
+    rest = np.ones(len(coeffs), dtype=bool)
+    rest[second] = False
+    return _drop_rows(coeffs[rest], exponents[rest])
 
 
 def canonicalize(e: Expr) -> Expr:
@@ -478,7 +488,7 @@ def _merged(coeffs: np.ndarray, exponents: np.ndarray, n: int) -> Expr:
     """The canonical expression of the terms held in two arrays (the arrays
     are frozen if the merge returns them)."""
     m = len(coeffs)
-    if m == 1:
+    if m <= 1:
         merge = _merge_one
     else:
         merge = _merge_loop if m <= _SMALL_MERGE else _merge_arrays
@@ -704,10 +714,19 @@ def term_values(e: Expr, ctx: Context, point: Sequence[float]) -> list[float]:
 
 def eval_expr(e: Expr, ctx: Context, point: Sequence[float]) -> float:
     """Evaluate at a point; bases (x_i - a_i) must be positive wherever a
-    non-integer exponent touches them."""
+    non-integer exponent touches them.  A term, or the sum of the terms,
+    beyond the largest double is a ``ValueError`` that names the point."""
     if len(point) != ctx.n or e.n != ctx.n:
         raise ValueError("point length must match the context")
-    return math.fsum(term_values(e, ctx, point))
+    try:
+        vals = term_values(e, ctx, point)
+        total = math.fsum(vals) if all(map(math.isfinite, vals)) else math.inf
+    except OverflowError:  # a power, or fsum's running sum
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"expression at point ({', '.join(map(repr, map(float, point)))}) "
+                         "overflows a double")
+    return total
 
 
 def classical_derivative(e: Expr, coord: int, order: int = 1) -> Expr:
@@ -765,21 +784,20 @@ def shift_column(e: Expr, coord: int, delta: float, coeffs: np.ndarray,
     the coefficients replaced by ``coeffs``, canonicalized.
 
     ``values``, when given, are the distinct exponents of that column in
-    ascending order, from a caller that already has them.  The shifted
-    arrays are canonical as they are, and no merge runs, if every new
-    coefficient is finite and not below ``COEFF_DROP`` in magnitude and
-    :func:`_shift_keeps_keys` holds for the column.  A single term is
-    merged, which costs less than the check.
+    ascending order, from a caller that already has them.  When
+    :func:`_shift_keeps_keys` holds for the column, the shifted rows are
+    canonical but for the drop, and no merge runs: :func:`_drop_rows` checks
+    the new coefficients and drops those below ``COEFF_DROP``, the rows the
+    merge would return.  At most one term is merged, which costs less than
+    the check.
     """
     exps = e.exponents.copy()
     exps[:, coord] += delta
     if len(coeffs) > 1:
-        mags = np.abs(coeffs)
-        if mags.min() >= COEFF_DROP and mags.max() < math.inf:
-            if values is None:
-                values = sorted(set(e.exponents[:, coord].tolist()))
-            if _shift_keeps_keys(values, delta):
-                return _wrap(coeffs, exps, e.n)
+        if values is None:
+            values = sorted(set(e.exponents[:, coord].tolist()))
+        if _shift_keeps_keys(values, delta):
+            return _wrap(*_drop_rows(coeffs, exps), e.n)
     return _merged(coeffs, exps, e.n)
 
 

@@ -1,8 +1,12 @@
 """Command-line interface: output text, JSON payloads, and exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracforms import (Context, exprs_close, form_from_json, frac_exterior_deriv, forms_close,
                        parse_expr)
@@ -566,3 +570,124 @@ def test_verify_json(capsys):
     ids = [c["id"] for c in payload["checks"]]
     assert ids[:2] == ["eq12", "eq20"]
     assert all(c["pass"] for c in payload["checks"])
+
+
+# ---------------------------------------------------------------------------
+# results beyond the largest double
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "x", "--var", "x", "--order", "0.5", "--point", "2", "--levels", "0"],
+     "levels must be between 2 and 5, got 0"),
+    (["oracle", "x", "--var", "x", "--order", "0.5", "--point", "2", "--levels=-3"],
+     "levels must be between 2 and 5, got -3"),
+    (["oracle", "1e307*x^2", "--var", "x", "--order", "1.9999999995", "--point", "2",
+      "--levels", "5", "--h", "1e-5", "--json"],
+     "GL differintegral of order 1.9999999995 at step 6.25e-07 overflows a double"),
+    (["oracle", "x^0", "--var", "x", "--order", "171.5", "--point", "0.5", "--levels", "2",
+      "--h", "0.5", "--json"],
+     "expression at point (0.5) overflows a double"),
+    (["metric", "--chart", "polar", "--order", "1", "--point", "1.5e154,0.7853981633974483"],
+     "metric entry (i=1, j=1) of chart 'polar': the sum over k overflows a double"),
+    (["metric", "--chart", "polar", "--order", "1", "--point", "1e200,0.5", "--json"],
+     "metric entry (i=1, j=1) of chart 'polar': the sum over k overflows a double"),
+    (["lineelement", "--chart", "identity", "--order", "1", "--point", "1,1",
+      "--dy", "1e200,1e200", "--json"],
+     "line element: the sum over i, j of g_ij dy_i dy_j overflows a double"),
+    (["jacobian", "--chart", "polar", "--order", "2", "--point", "1e300,0.5"],
+     "chart 'polar', entry (k=0, i=0) along r at order 2: central difference overflows a double"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_results_beyond_the_doubles_exit_3_and_name_the_operation(capsys, argv, message):
+    assert run(capsys, *argv) == (3, "", f"domain error: {message}")
+
+
+def test_oracle_plain_sum_has_no_error_estimate(capsys):
+    code, out, err = run(capsys, "oracle", "x", "--var", "x", "--order", "0.5", "--point", "2",
+                         "--levels", "1", "--json")
+    assert (code, err) == (0, "")
+    payload = _strict_json(out)
+    assert payload["error_estimate"] is None and payload["converged"] is None
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_json(text):
+    """``text`` as JSON with no NaN, Infinity or -Infinity in it."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
+# Every verb on bounded draws: orders past the gamma overflow (171.5), far
+# past any stencil or loop bound (1e5) and negative; points with coordinates
+# whose squares or products leave the doubles; every level count the
+# oracle's options allow and more; and GL steps no finer than 1e-5, so no
+# grid passes 3.2e6 nodes.  A whole order k on a symbolic chart takes k
+# products of its maps, so the chart verbs draw no 1e5.
+_ORDERS = ["0.5", "1", "2", "2.5", "1.9999999995", "171.5", "1e5", "-0.5", "-1", "-2.5", "-1e5"]
+_CHART_ORDERS = [o for o in _ORDERS if o != "1e5"]
+_COORDS = ["0.5", "2", "0.7853981633974483", "1e154", "1.5e154", "1e200", "-1"]
+_EXPRS = ["x", "x^2", "x^-0.5", "x^0", "1e307*x^2", "2*x^1.5 - 0.5*x^0.25", "1.3*x^2.2"]
+_FORMS = ["x d(x,{o})", "x*y d(x,{o}) + y d(y,{o})", "2*x1*x2 d(x1,{o}) + x1^2 d(x2,{o})",
+          "d(x1,{o})", "x^2"]
+_CHARTS = ["polar", "identity", "scale:2,3", "scale:0.5,-1.5", "affine:1,2;3,4"]
+_STEPS = ["1e-5", "1e-3", "0.1", "0.5"]
+
+
+@st.composite
+def commands(draw):
+    def one(values):
+        return draw(st.sampled_from(values))
+
+    verb = one(["deriv", "integ", "dv", "closed", "exact", "jacobian", "metric",
+                "lineelement", "oracle"])
+    json_flag = ["--json"] if draw(st.booleans()) else []
+    if verb in ("deriv", "integ"):
+        return [verb, one(_EXPRS), "--var", "x", f"--order={one(_ORDERS)}"] + json_flag
+    if verb in ("dv", "closed", "exact"):
+        argv = [verb, one(_FORMS).format(o=one(_ORDERS).lstrip("-"))]
+        if verb == "dv":
+            argv.append(f"--order={one(_ORDERS)}")
+        elif verb == "closed" and draw(st.booleans()):
+            argv.append(f"--mu={one(_ORDERS)}")
+        return argv + json_flag
+    point = f"--point={one(_COORDS)},{one(_COORDS)}"
+    steps = [f"--h={one(_STEPS)}", f"--levels={draw(st.integers(1, 5))}"]
+    if verb == "oracle":
+        return ["oracle", one(_EXPRS), "--var", "x", f"--order={one(_ORDERS)}",
+                f"--point={one(_COORDS)}"] + steps + json_flag
+    argv = [verb, "--chart", one(_CHARTS), f"--order={one(_CHART_ORDERS)}", point] + steps
+    if draw(st.booleans()):
+        argv.append("--numeric")
+    if verb == "lineelement":
+        argv.append(f"--dy={one(_COORDS)},{one(_COORDS)}")
+    return argv + json_flag
+
+
+@given(commands())
+@example(["oracle", "x^-0.5", "--var", "x", "--order", "171.5", "--point", "2", "--levels", "5"])
+@example(["jacobian", "--chart", "polar", "--order", "171.5", "--point", "0.5,0.5"])
+@example(["lineelement", "--chart", "scale:2,3", "--order", "171.5", "--point", "0.5,0.5",
+          "--numeric", "--dy", "0.1,0.2"])
+@example(["oracle", "1e307*x^2", "--var", "x", "--order", "-0.5", "--point", "2"])
+@example(["oracle", "x", "--var", "x", "--order", "0.5", "--point", "2", "--levels", "1",
+          "--json"])
+@example(["oracle", "1e307*x^2", "--var", "x", "--order", "1.9999999995", "--point", "2",
+          "--levels", "5", "--h", "1e-5", "--json"])
+@example(["oracle", "x^0", "--var", "x", "--order", "171.5", "--point", "0.5", "--levels", "2",
+          "--h", "0.5", "--json"])
+@example(["metric", "--chart", "polar", "--order", "1", "--point", "1.5e154,0.7853981633974483"])
+@example(["metric", "--chart", "polar", "--order", "1", "--point", "1e200,0.5", "--json"])
+@example(["lineelement", "--chart", "identity", "--order", "1", "--point", "1,1",
+          "--dy", "1e200,1e200", "--json"])
+@example(["jacobian", "--chart", "polar", "--order", "2", "--point", "1e300,0.5"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@pytest.mark.filterwarnings("ignore::fracforms.errors.NonConvergenceWarning")
+def test_every_verb_exits_with_a_known_code_and_prints_only_finite_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    if code == 0 and "--json" in argv:
+        _strict_json(out.getvalue())

@@ -320,6 +320,16 @@ def test_richardson_levels_validated():
             richardson(lambda t: t, 0.5, 1.0, 0.0, levels=bad)
 
 
+def test_richardson_extrapolant_beyond_the_doubles_names_the_order_and_step(monkeypatch):
+    # finite plain sums whose extrapolant overflows: the error of an
+    # overflowing plain sum, at the finest step 1/80
+    monkeypatch.setattr(oracle, "_gl_levels",
+                        lambda f, q, x, a, steps, levels: [1e308, -1e308, 1e308])
+    with pytest.raises(QuadratureDomainError,
+                       match=r"^GL differintegral of order 0\.5 at step 0\.0125 overflows a double$"):
+        richardson(np.sin, 0.5, 1.0, 0.0, h0=0.05, levels=3)
+
+
 def test_richardson_warns_when_table_disagrees():
     # a strongly edge-singular integrand with a coarse grid defeats the
     # whole-power error model behind the extrapolation table

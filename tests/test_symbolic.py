@@ -371,6 +371,45 @@ def test_rl_deriv_of_a_canonical_expression_runs_no_merge(monkeypatch):
         assert _arr_bits(got.coeffs, got.exponents) == bits
 
 
+def test_a_shift_that_drops_a_coefficient_runs_no_merge(monkeypatch):
+    # D^0.5 keeps the keys of x^0.25 and x^1.5 but takes the first
+    # coefficient below the drop: the rows are dropped, not merged
+    e = Expr.make([(1.2e-12, (0.25, 0.0)), (1.0, (1.5, 1.0)), (2.0, (3.0, 0.5))], 2)
+    want = _bits(_ref_power_rule(_terms(e), 2, 0, 0.5))
+    assert len(want) == 2
+
+    def merged(coeffs, exponents, n):
+        raise AssertionError("a shift that keeps its keys ran a merge")
+
+    monkeypatch.setattr(symbolic, "_merged", merged)
+    got = power_rule_map(e, 0, 0.5, XY)
+    assert _arr_bits(got.coeffs, got.exponents) == want
+
+
+def test_an_empty_operand_runs_no_dict_loop(monkeypatch):
+    e = Expr.make([(1.0, (0.5, 1.0)), (3.0, (0.5, 2.0)), (2.0, (1.0, 0.0))], 2)
+    annihilated = e.take(np.array([True, True, False]))  # x^0.5 dies under D^1.5
+
+    def merge(coeffs, exponents):
+        raise AssertionError("an empty operand reached the dict loop")
+
+    monkeypatch.setattr(symbolic, "_merge_loop", merge)
+    monkeypatch.setattr(symbolic, "_merge_arrays", merge)
+    for got in (Expr.zero(2) * e, e * Expr.zero(2), rl_deriv(annihilated, 0, 1.5, XY),
+                rl_deriv(e.take(np.array([False, False, True])), 0, 2.0, XY)):
+        assert got == Expr.zero(2)
+        assert (got.coeffs.shape, got.exponents.shape) == ((0,), (0, 2))
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_scaling_by_a_number_that_is_not_finite_raises(s):
+    # the check comes before the drop, which would take every nan row as small
+    e = Expr.make([(1.0, (0.5, 1.0)), (3.0, (1.5, 2.0))], 2)
+    with pytest.raises(ValueError, match="^term coefficient must be finite$"):
+        e * s
+    assert Expr.zero(2) * s == Expr.zero(2)
+
+
 def _padded(terms, pad, column):
     """``terms`` plus ``pad`` rows whose keys no drawn term has; with seven a
     side, a sum holds more than _SMALL_MERGE rows and takes the two-run merge."""
@@ -791,6 +830,17 @@ def test_expr_pow_expands_whole_powers_of_sums():
     assert exprs_close(got, parse_expr("x^2 + 2*x*y + y^2", XY))
 
 
+@given(term_lists(n=2, max_size=6), st.integers(min_value=0, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_whole_power_is_the_left_fold_of_products_from_one(terms, k):
+    e = canonicalize(_expr(terms, 2))
+    want = Expr.constant(1.0, 2)
+    for _ in range(k):
+        want = want * e
+    got = e.pow(float(k))
+    assert _arr_bits(got.coeffs, got.exponents) == _arr_bits(want.coeffs, want.exponents)
+
+
 def test_expr_pow_fractional_needs_single_term():
     from fracforms import UnsupportedError
 
@@ -832,6 +882,18 @@ def test_context_of_reads_comma_separated_names():
 def test_eval_rejects_a_point_of_the_wrong_length():
     with pytest.raises(ValueError, match="point length must match the context"):
         eval_expr(parse_expr("x", XY), XY, (1.0,))
+
+
+@pytest.mark.parametrize("text, point", [
+    ("1e300*x^2 + y", (1e10, 1.0)),  # a term's product
+    ("x^400 + y", (1e10, 1.0)),  # a term's power
+    ("1e308*x + 1e308*y", (1.5, 1.5)),  # the sum of finite terms
+    ("1e308*x - 1e308*y", (2.0, 2.0)),  # terms of both signs beyond the doubles
+])
+def test_eval_beyond_the_doubles_names_the_point(text, point):
+    message = rf"^expression at point \({point[0]!r}, {point[1]!r}\) overflows a double$"
+    with pytest.raises(ValueError, match=message):
+        eval_expr(parse_expr(text, XY), XY, point)
 
 
 @pytest.mark.parametrize("order", [0.5, -1])
